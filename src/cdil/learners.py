@@ -11,8 +11,11 @@ Two variants mirror the benchmark's baselines at linear desk scale:
 
 * ``prototype`` — a frozen random projection followed by a nonlinearity,
   with per-session second-moment and per-class sum statistics solved by
-  ridge regression into that session's head rows. The projection is drawn
-  once and never changes, so all adaptation lives in the heads.
+  ridge regression into that session's head rows. The statistics are
+  batched over the training split in (label, sample id) order, so they are
+  bitwise independent of sample order. The projection is drawn once per
+  experiment, shared by its trials, and never changes, so all adaptation
+  lives in the heads.
 
 The default learning rate is 0.05: the published schedule (batch 16,
 60 epochs then 10 per later session) is kept, but its 2e-5 rate targets
@@ -207,56 +210,55 @@ class FinetuneLearner(Learner):
             self.feature_map = self.feature_map - lr * d_map
 
 
-class KahanSum:
-    """Compensated accumulator so statistic sums are order-insensitive to ~1e-15."""
-
-    def __init__(self, shape: int | tuple[int, ...]):
-        self._sum = np.zeros(shape)
-        self._comp = np.zeros(shape)
-
-    def add(self, value: np.ndarray) -> None:
-        y = value - self._comp
-        t = self._sum + y
-        self._comp = (t - self._sum) - y
-        self._sum = t
-
-    @property
-    def value(self) -> np.ndarray:
-        return self._sum.copy()
-
-
-def ridge_solve(gram: np.ndarray, targets: np.ndarray, lam: float) -> np.ndarray:
-    """Solve (gram + lam*I) W = targets via Cholesky and verify the residual."""
+def ridge_solve(gram: np.ndarray, targets: np.ndarray, lam: float, *,
+                return_residual: bool = False):
+    """Solve (gram + lam*I) W = targets via Cholesky and verify the residual;
+    with `return_residual`, return (W, the residual norm the check used)."""
     m = gram.shape[0]
     system = gram + lam * np.eye(m)
     solution = cho_solve(cho_factor(system), targets)
-    residual = np.linalg.norm(system @ solution - targets)
+    residual = float(np.linalg.norm(system @ solution - targets))
     bound = RIDGE_RESIDUAL_RTOL * (np.linalg.norm(gram) + lam) * max(
         np.linalg.norm(solution), 1e-30)
     if residual > bound and residual > 1e-12:
         raise NumericalError(
             f"ridge solve residual {residual:.3e} exceeds tolerance {bound:.3e}")
-    return solution
+    return (solution, residual) if return_residual else solution
+
+
+def class_statistics(hidden: np.ndarray,
+                     labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(hidden.T @ hidden, classes, sums): sums[i] adds, in row order, the rows
+    labelled classes[i]. The rows of each class must be contiguous."""
+    starts = np.flatnonzero(np.diff(labels, prepend=labels[0] - 1))
+    return hidden.T @ hidden, labels[starts], np.add.reduceat(hidden, starts, axis=0)
+
+
+def draw_projection(feature_dim: int, cfg: LearnerConfig,
+                    experiment_seed: int) -> np.ndarray:
+    """The prototype learner's frozen random projection, read-only. It depends
+    only on `cfg` and the seed, so `run_experiment` draws it once for k trials."""
+    resolved = config_with_defaults(cfg, feature_dim, experiment_seed)
+    rng = substream(resolved.projection_seed, "projection-matrix")
+    projection = rng.normals((resolved.projection_dim, feature_dim)) / np.sqrt(feature_dim)
+    projection.flags.writeable = False
+    return projection
 
 
 class PrototypeLearner(Learner):
     """Frozen random features plus per-session class statistics and ridge heads."""
 
     def __init__(self, feature_dim: int, cfg: LearnerConfig,
-                 experiment_seed: int = 0, trial_index: int = 1):
+                 experiment_seed: int = 0, trial_index: int = 1,
+                 projection: np.ndarray | None = None):
         self.feature_dim = feature_dim
         self.cfg = cfg
-        self._trial = trial_index
-        proj_dim = cfg.projection_dim if cfg.projection_dim is not None else 4 * feature_dim
-        proj_seed = (cfg.projection_seed if cfg.projection_seed is not None
-                     else derive_seed(experiment_seed, "projection"))
-        rng = substream(proj_seed, "projection-matrix")
-        self.projection = rng.normals((proj_dim, feature_dim)) / np.sqrt(feature_dim)
-        self.projection.flags.writeable = False
-        self.head_dim = proj_dim + (1 if cfg.bias_feature else 0)
+        self.projection = (projection if projection is not None
+                           else draw_projection(feature_dim, cfg, experiment_seed))
+        self.head_dim = self.projection.shape[0] + (1 if cfg.bias_feature else 0)
         self.rch = RCHState(self.head_dim)
-        self._cumulative_gram: KahanSum | None = None
-        self._cumulative_sums: dict[int, KahanSum] = {}
+        self._cumulative_gram = np.zeros((self.head_dim, self.head_dim))
+        self._cumulative_sums: dict[int, np.ndarray] = {}
         self.last_residual: float = 0.0
 
     def transform(self, features: np.ndarray) -> np.ndarray:
@@ -270,57 +272,42 @@ class PrototypeLearner(Learner):
         if not train:
             raise ProtocolError("empty training split: a bound fold consumed the whole session")
         t = len(self.rch.head_groups) + 1
-        previous_rows = {c: self._summed_rows(c) for c in sorted(label_set)}
+        classes = sorted(label_set)
+        cumulative = self.cfg.prototype_stats == "cumulative"
+        previous_rows = (dict(zip(self.rch.class_order, self.rch.remap()))
+                         if cumulative and self.rch.head_groups else {})
         self.rch.add_session(label_set)
 
-        features, labels = _stack(train)
-        hidden = self.transform(features)
-        cumulative = self.cfg.prototype_stats == "cumulative"
+        # Sample ids are unique within a session, so this order depends only
+        # on the set of samples: the statistics are bitwise order-independent.
+        features, labels = _stack(sorted(train, key=lambda s: (s.label, s.sample_id)))
+        gram, present, class_sums = class_statistics(self.transform(features), labels)
+        sums = dict(zip(present.tolist(), class_sums))
         if cumulative:
-            if self._cumulative_gram is None:
-                self._cumulative_gram = KahanSum((self.head_dim, self.head_dim))
-            gram_acc = self._cumulative_gram
+            gram = self._cumulative_gram = self._cumulative_gram + gram
+            for c, row in sums.items():
+                self._cumulative_sums[c] = self._cumulative_sums.get(c, 0.0) + row
             sums = self._cumulative_sums
-        else:
-            gram_acc = KahanSum((self.head_dim, self.head_dim))
-            sums = {}
-        for h, y in zip(hidden, labels):
-            gram_acc.add(np.outer(h, h))
-            if y not in sums:
-                sums[y] = KahanSum(self.head_dim)
-            sums[y].add(h)
 
-        classes = sorted(label_set)
-        targets = np.zeros((self.head_dim, len(classes)))
-        for i, c in enumerate(classes):
-            if c in sums:
-                targets[:, i] = sums[c].value
-        solution = ridge_solve(gram_acc.value, targets, self.cfg.ridge_lambda)
-        system = gram_acc.value + self.cfg.ridge_lambda * np.eye(self.head_dim)
-        self.last_residual = float(np.linalg.norm(system @ solution - targets))
-        if cumulative:
-            # Set rows so the remapped (summed) row equals the global ridge
-            # solution for every class present in this session.
-            updates = {c: solution[:, i] - previous_rows[c] for i, c in enumerate(classes)}
-        else:
-            updates = {c: solution[:, i] for i, c in enumerate(classes)}
-        self.rch.set_rows(t, updates)
-
-    def _summed_rows(self, c: int) -> np.ndarray:
-        total = np.zeros(self.head_dim)
-        for group in self.rch.head_groups:
-            if c in group.classes:
-                total += group.row(c)
-        return total
+        absent = np.zeros(self.head_dim)
+        targets = np.stack([sums.get(c, absent) for c in classes], axis=1)
+        solution, self.last_residual = ridge_solve(
+            gram, targets, self.cfg.ridge_lambda, return_residual=True)
+        # In cumulative mode, set rows so the remapped (summed) row equals the
+        # global ridge solution for every class present in this session.
+        self.rch.set_rows(t, {c: solution[:, i] - previous_rows.get(c, 0.0)
+                              for i, c in enumerate(classes)})
 
 
 def make_learner(variant: str, feature_dim: int, cfg: LearnerConfig | None = None,
-                 experiment_seed: int = 0, trial_index: int = 1) -> Learner:
+                 experiment_seed: int = 0, trial_index: int = 1,
+                 projection: np.ndarray | None = None) -> Learner:
+    """A fresh learner; `projection` is a prototype projection drawn once per experiment."""
     cfg = cfg if cfg is not None else LearnerConfig()
     if variant == FINETUNE:
         return FinetuneLearner(feature_dim, cfg, experiment_seed, trial_index)
     if variant == PROTOTYPE:
-        return PrototypeLearner(feature_dim, cfg, experiment_seed, trial_index)
+        return PrototypeLearner(feature_dim, cfg, experiment_seed, trial_index, projection)
     raise ConfigurationError(f"unknown learner variant {variant!r}; expected one of {VARIANTS}")
 
 

@@ -20,7 +20,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .core import ConfigurationError, ProtocolError, SessionSequence
-from .learners import LearnerConfig, Learner, VARIANTS, config_with_defaults, make_learner
+from .learners import (PROTOTYPE, VARIANTS, LearnerConfig, Learner, config_with_defaults,
+                       draw_projection, make_learner)
 from .metrics import ExperimentReport, TrialResult, aggregate
 from .rng import derive_seed
 from .splitters import FoldAssignment, MODES, TrialPlan, bind_folds, cumulative_test_ids, partition
@@ -189,6 +190,12 @@ def run_experiment(cfg: ExperimentConfig,
     """
     seq = build_sequence(cfg)
     assignments = partition_sequence(seq, cfg.k, cfg.seed, cfg.protocol)
+    if learner_factory is None:
+        # Every trial would draw the same projection; draw it once, read-only.
+        projection = (draw_projection(seq.feature_dim, cfg.learner_config, cfg.seed)
+                      if cfg.learner == PROTOTYPE else None)
+        learner_factory = lambda tau: make_learner(
+            cfg.learner, seq.feature_dim, cfg.learner_config, cfg.seed, tau, projection)
     workers = _thread_budget(cfg)
     trial_indices = list(range(1, cfg.k + 1))
     if workers <= 1:

@@ -1,11 +1,13 @@
 import hashlib
+import math
 
 import numpy as np
 import pytest
 
 from cdil.core import ConfigurationError, ProtocolError, Sample
 from cdil.learners import (FinetuneLearner, LearnerConfig, PrototypeLearner,
-                           finetune_loss_and_grads, make_learner, ridge_solve)
+                           class_statistics, finetune_loss_and_grads, make_learner,
+                           ridge_solve)
 from cdil.rng import Xoshiro256StarStar, substream
 
 
@@ -253,6 +255,31 @@ class TestRidgeSolve:
         assert np.linalg.norm(W) <= 1e-6 * np.linalg.norm(C)
 
 
+class TestClassStatistics:
+    def test_matches_exactly_rounded_sums_on_wide_dynamic_range(self):
+        # Entries span 1e-8..1e8. The error is taken relative to the sum of
+        # the terms' magnitudes, which for non-negative (relu) rows is the
+        # plain relative error of each entry.
+        rng = substream(22, "dynamic-range")
+        n, m = 120, 6
+        labels = np.repeat([0, 2, 5], [50, 30, 40])
+        scales = 10.0 ** np.array([[rng.randbelow(17) - 8 for _ in range(m)]
+                                   for _ in range(n)])
+        signed = rng.normals((n, m)) * scales
+        for hidden in (np.abs(signed), signed):
+            gram, classes, sums = class_statistics(hidden, labels)
+            assert classes.tolist() == [0, 2, 5]
+            for i in range(m):
+                for j in range(m):
+                    terms = hidden[:, i] * hidden[:, j]
+                    assert abs(gram[i, j] - math.fsum(terms)) <= (
+                        1e-13 * math.fsum(np.abs(terms)))
+                for k, c in enumerate(classes):
+                    terms = hidden[labels == c, i]
+                    assert abs(sums[k, i] - math.fsum(terms)) <= (
+                        1e-13 * math.fsum(np.abs(terms)))
+
+
 class TestPrototype:
     def test_well_separated_gaussians(self):
         rng = substream(11, "blobs")
@@ -290,6 +317,23 @@ class TestPrototype:
         a.update(forward, {0, 1, 2, 3})
         b.update(reversed_samples, {0, 1, 2, 3})
         assert np.allclose(a.rch.remap(), b.rch.remap(), atol=1e-12)
+
+    def test_statistics_exactly_independent_of_sample_order(self):
+        rng = substream(20, "canonical-order")
+        sessions = [as_samples(rng.normals((30, 5)), [0, 1, 2] * 10, prefix="a"),
+                    as_samples(rng.normals((30, 5)), [1, 2, 3] * 10, prefix="b")]
+        for mode in ("per_session", "cumulative"):
+            cfg = LearnerConfig(prototype_stats=mode)
+            given = PrototypeLearner(5, cfg, experiment_seed=6)
+            shuffled = PrototypeLearner(5, cfg, experiment_seed=6)
+            for samples in sessions:
+                label_set = {s.label for s in samples}
+                permuted = list(samples)
+                rng.shuffle(permuted)
+                given.update(samples, label_set)
+                shuffled.update(permuted, label_set)
+                assert np.array_equal(given.rch.remap(), shuffled.rch.remap())
+                assert np.array_equal(given.last_residual, shuffled.last_residual)
 
     def test_huge_lambda_keeps_heads_near_zero(self):
         rng = substream(14, "lambda")

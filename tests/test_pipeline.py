@@ -180,6 +180,31 @@ class TestRunExperiment:
         b = run_experiment(quick_config())
         assert a == b
 
+    def test_projection_drawn_once_per_experiment(self, monkeypatch):
+        import cdil.learners
+        import cdil.pipeline
+        draw, make = cdil.learners.draw_projection, cdil.pipeline.make_learner
+        draws, learners = [], []
+
+        def counting_draw(*args):
+            draws.append(draw(*args))
+            return draws[-1]
+
+        def recording_make(*args, **kwargs):
+            learners.append(make(*args, **kwargs))
+            return learners[-1]
+
+        for module in (cdil.learners, cdil.pipeline):
+            monkeypatch.setattr(module, "draw_projection", counting_draw)
+        monkeypatch.setattr(cdil.pipeline, "make_learner", recording_make)
+        cfg = quick_config()
+        run_experiment(cfg)
+        assert len(draws) == 1 and len(learners) == cfg.k
+        assert all(learner.projection is draws[0] for learner in learners)
+        assert draws[0].flags.writeable is False
+        run_experiment(cfg)
+        assert len(draws) == 2
+
     def test_parallel_matches_sequential(self):
         sequential = run_experiment(quick_config())
         parallel = run_experiment(quick_config(deterministic=False, threads=4))
