@@ -14,9 +14,9 @@ mirrors ExperimentConfig:
     }
 
 `data` holds either `"synthetic"` (a SynthSpec object) or `"manifest"` (a
-path, resolved relative to the config file). The CDIL_THREADS environment
-variable caps trial parallelism; `--deterministic` forces a sequential,
-bit-reproducible run.
+path, resolved relative to the config file). Every run is sequential and
+bit-reproducible; `--deterministic` is accepted and only recorded in the
+report's config echo.
 """
 
 from __future__ import annotations

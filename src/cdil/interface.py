@@ -107,6 +107,10 @@ def load_manifest(path: str | Path) -> Manifest:
         if len(set(label_names)) != len(label_names):
             raise DataLoadError("repeats a label name", path=path,
                                 field=f"{where}.label_names")
+        min_count = raw.get("min_samples_per_class", 0)
+        if not isinstance(min_count, int) or isinstance(min_count, bool) or min_count < 0:
+            raise DataLoadError("must be a non-negative integer", path=path,
+                                field=f"{where}.min_samples_per_class")
         features_path = (path.parent / raw["features_path"]).resolve()
         if not features_path.is_file():
             raise DataLoadError(f"feature file {features_path} is not readable",
@@ -116,7 +120,7 @@ def load_manifest(path: str | Path) -> Manifest:
             label_names=tuple(label_names),
             features_path=features_path,
             year=raw.get("year"),
-            min_samples_per_class=int(raw.get("min_samples_per_class", 0)),
+            min_samples_per_class=min_count,
         ))
     return Manifest(name=data["name"], feature_dim=feature_dim,
                     sessions=tuple(entries),
@@ -167,6 +171,9 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
             except ValueError:
                 raise DataLoadError("non-numeric feature value",
                                     path=path, line=line_no, field="features") from None
+            if not np.isfinite(features).all():
+                raise DataLoadError("non-finite feature value",
+                                    path=path, line=line_no, field="features")
             rows.append((sample_id, subject_id, label_name, features))
 
     if not rows:
@@ -287,18 +294,23 @@ def load_report(path: str | Path) -> ExperimentReport:
 
 
 def reaggregate_trials(run_dir: str | Path) -> ExperimentReport:
-    """Rebuild an aggregate report from `trials/trial_*.json` under `run_dir`."""
+    """Rebuild an aggregate report from `trials/trial_*.json` under `run_dir`.
+
+    The trial files must hold exactly trial indices 1..k, with k from the
+    config echo in `report.json`: a partial fold average is never reported.
+    """
     run_dir = Path(run_dir)
+    report_path = run_dir / "report.json"
+    if not report_path.is_file():
+        raise ProtocolError(f"{report_path} not found; it records the fold count k")
+    recorded = load_report(report_path)
+    k = int(recorded.config.get("k", recorded.k))
     trials_dir = run_dir / "trials"
-    trial_paths = sorted(trials_dir.glob("trial_*.json"))
-    if not trial_paths:
-        raise ProtocolError(f"no trial files found under {trials_dir}")
     trials = []
-    for p in trial_paths:
+    for p in sorted(trials_dir.glob("trial_*.json")):
         with open(p, encoding="utf-8") as fh:
             trials.append(TrialResult.from_dict(json.load(fh)))
-    config: dict = {}
-    report_path = run_dir / "report.json"
-    if report_path.is_file():
-        config = load_report(report_path).config
-    return aggregate(trials, config=config)
+    indices = sorted(t.trial_index for t in trials)
+    if indices != list(range(1, k + 1)):
+        raise ProtocolError(f"{trials_dir}: expected trial files 1..{k}, found {indices}")
+    return aggregate(trials, config=recorded.config, expect_k=k)

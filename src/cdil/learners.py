@@ -6,7 +6,7 @@ Two variants mirror the benchmark's baselines at linear desk scale:
 * ``finetune`` — a trainable square feature map (the stand-in for a
   fine-tuned backbone) plus the current session's head rows, trained with
   mini-batch SGD on cross-entropy over the full cumulative label space.
-  Earlier sessions' head groups are frozen; forgetting enters through the
+  Earlier sessions' head rows are frozen; forgetting enters through the
   shared feature map and through new rows competing in the softmax.
 
 * ``prototype`` — a frozen random projection followed by a nonlinearity,
@@ -25,6 +25,7 @@ model.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
@@ -60,12 +61,14 @@ class LearnerConfig:
     prototype_stats: str = "per_session"  # "per_session" | "cumulative"
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ConfigurationError("learning_rate must be >= 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ConfigurationError("learning_rate must be finite and >= 0")
         if self.batch_size < 1 or self.epochs_first < 0 or self.epochs_later < 0:
             raise ConfigurationError("batch size and epoch counts must be positive")
-        if self.ridge_lambda <= 0:
-            raise ConfigurationError("ridge_lambda must be > 0")
+        if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda > 0):
+            raise ConfigurationError("ridge_lambda must be finite and > 0")
+        if not (math.isfinite(self.head_init_std) and self.head_init_std > 0):
+            raise ConfigurationError("head_init_std must be finite and > 0")
         if self.projection_dim is not None and self.projection_dim < 1:
             raise ConfigurationError("projection_dim must be >= 1")
         if self.nonlinearity not in ("relu", "identity"):
@@ -149,8 +152,8 @@ def finetune_loss_and_grads(
 
 
 class FinetuneLearner(Learner):
-    """Naive sequential fine-tuning: SGD on the newest head group (and the
-    shared feature map, when enabled) with everything earlier frozen."""
+    """Naive sequential fine-tuning: SGD on the newest session's head rows
+    (and the shared feature map, when enabled) with everything earlier frozen."""
 
     def __init__(self, feature_dim: int, cfg: LearnerConfig,
                  experiment_seed: int = 0, trial_index: int = 1):
@@ -170,7 +173,7 @@ class FinetuneLearner(Learner):
     def update(self, train: Sequence[Sample], label_set: AbstractSet[int]) -> None:
         if not train:
             raise ProtocolError("empty training split: a bound fold consumed the whole session")
-        t = len(self.rch.head_groups) + 1
+        t = self.rch.n_sessions + 1
         init = InitSpec(self.cfg.head_init, self.cfg.head_init_std)
         init_rng = substream(self._seed, "finetune", self._trial, t, "head-init")
         self.rch.add_session(label_set, init=init, rng=init_rng)
@@ -182,7 +185,7 @@ class FinetuneLearner(Learner):
         order = self.rch.class_order
         position = {c: i for i, c in enumerate(order)}
         labels_pos = np.array([position[y] for y in labels])
-        session_classes = sorted(label_set)
+        session_pos = np.array([position[c] for c in sorted(label_set)])
 
         epochs = self.cfg.epochs_first if t == 1 else self.cfg.epochs_later
         shuffle_rng = substream(self._seed, "finetune", self._trial, t, "shuffle")
@@ -191,11 +194,9 @@ class FinetuneLearner(Learner):
             shuffle_rng.shuffle(indices)
             for start in range(0, len(indices), self.cfg.batch_size):
                 batch = indices[start:start + self.cfg.batch_size]
-                self._step(features[batch], labels_pos[batch], t, session_classes,
-                           position, epoch)
+                self._step(features[batch], labels_pos[batch], t, session_pos, epoch)
 
-    def _step(self, batch_features, batch_labels_pos, t, session_classes,
-              position, epoch) -> None:
+    def _step(self, batch_features, batch_labels_pos, t, session_pos, epoch) -> None:
         loss, d_remap, d_map = finetune_loss_and_grads(
             batch_features, batch_labels_pos, self.rch.remap(),
             self.feature_map, self.cfg.bias_feature)
@@ -204,8 +205,7 @@ class FinetuneLearner(Learner):
                 f"non-finite loss at session {t}, epoch {epoch}, "
                 f"trial {self._trial} (lr={self.cfg.learning_rate})")
         lr = self.cfg.learning_rate
-        deltas = {c: -lr * d_remap[position[c]] for c in session_classes}
-        self.rch.add_to_rows(t, deltas)
+        self.rch.add_to_rows(t, -lr * d_remap[session_pos])
         if self.feature_map is not None:
             self.feature_map = self.feature_map - lr * d_map
 
@@ -271,12 +271,11 @@ class PrototypeLearner(Learner):
     def update(self, train: Sequence[Sample], label_set: AbstractSet[int]) -> None:
         if not train:
             raise ProtocolError("empty training split: a bound fold consumed the whole session")
-        t = len(self.rch.head_groups) + 1
         classes = sorted(label_set)
         cumulative = self.cfg.prototype_stats == "cumulative"
         previous_rows = (dict(zip(self.rch.class_order, self.rch.remap()))
-                         if cumulative and self.rch.head_groups else {})
-        self.rch.add_session(label_set)
+                         if cumulative and self.rch.n_sessions else {})
+        t = self.rch.add_session(label_set)
 
         # Sample ids are unique within a session, so this order depends only
         # on the set of samples: the statistics are bitwise order-independent.

@@ -6,13 +6,13 @@ training split of each session in turn and, after each session, is evaluated
 on the union of the bound test folds of every session seen so far. A k-fold
 experiment runs exactly k such trials (one per fold index), so the total
 number of session evaluations is k*n rather than a cross-session product.
+Trials run one after another in trial-index order, so every run is sequential
+and deterministic.
 """
 
 from __future__ import annotations
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -29,8 +29,6 @@ from .synth import SynthSpec, generate_stream
 
 logger = logging.getLogger(__name__)
 
-THREADS_ENV_VAR = "CDIL_THREADS"
-
 
 @dataclass
 class ExperimentConfig:
@@ -42,8 +40,8 @@ class ExperimentConfig:
     synth: SynthSpec | None = None
     manifest: str | Path | None = None
     out: str | Path | None = None
+    # Every run is sequential and deterministic; the flag is only echoed.
     deterministic: bool = False
-    threads: int | None = None
 
     def __post_init__(self):
         if self.protocol not in MODES:
@@ -160,20 +158,6 @@ def run_trial(cfg: ExperimentConfig, seq: SessionSequence,
     return TrialResult(trial_index=trial_index, correct=tuple(correct), total=tuple(total))
 
 
-def _thread_budget(cfg: ExperimentConfig) -> int:
-    if cfg.deterministic:
-        return 1
-    if cfg.threads is not None:
-        return max(1, cfg.threads)
-    env = os.environ.get(THREADS_ENV_VAR)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigurationError(f"{THREADS_ENV_VAR}={env!r} is not an integer") from None
-    return min(cfg.k, os.cpu_count() or 1)
-
-
 def build_sequence(cfg: ExperimentConfig) -> SessionSequence:
     if cfg.synth is not None:
         return generate_stream(cfg.synth)
@@ -196,16 +180,8 @@ def run_experiment(cfg: ExperimentConfig,
                       if cfg.learner == PROTOTYPE else None)
         learner_factory = lambda tau: make_learner(
             cfg.learner, seq.feature_dim, cfg.learner_config, cfg.seed, tau, projection)
-    workers = _thread_budget(cfg)
-    trial_indices = list(range(1, cfg.k + 1))
-    if workers <= 1:
-        trials = [run_trial(cfg, seq, assignments, tau, learner_factory)
-                  for tau in trial_indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            trials = list(pool.map(
-                lambda tau: run_trial(cfg, seq, assignments, tau, learner_factory),
-                trial_indices))
+    trials = [run_trial(cfg, seq, assignments, tau, learner_factory)
+              for tau in range(1, cfg.k + 1)]
     report = aggregate(trials, config=cfg.echo(seq.feature_dim), expect_k=cfg.k)
     logger.info("experiment done: mean final %.4f, mean average %.4f",
                 report.mean_final, report.mean_average)

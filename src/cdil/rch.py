@@ -1,7 +1,7 @@
-"""Remappable classification head: per-session head groups summed per class.
+"""Remappable classification head: per-session head rows summed per class.
 
-Every session contributes an independent head group with one weight row per
-class present in that session. Prediction remaps the groups into a single
+Every session contributes an independent block of head rows, one weight row
+per class present in that session. Prediction remaps the rows into a single
 matrix by summing, per class, the rows of all sessions that contain the
 class, then applies a softmax over the dot products with the feature vector.
 A class that recurs in several sessions therefore keeps one preserved row
@@ -14,6 +14,7 @@ instead, which keeps the per-class summation semantics uniform.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import AbstractSet, Mapping
@@ -34,122 +35,123 @@ class InitSpec:
     def __post_init__(self):
         if self.kind not in ("zeros", "gaussian"):
             raise ConfigurationError(f"unknown head init {self.kind!r}")
-        if self.std <= 0:
-            raise ConfigurationError("head init std must be positive")
-
-
-class HeadGroup:
-    """One session's head rows, keyed by class index."""
-
-    def __init__(self, session_index: int, rows: Mapping[int, np.ndarray]):
-        self.session_index = session_index
-        self._rows = {c: np.asarray(row, dtype=np.float64) for c, row in rows.items()}
-
-    @property
-    def classes(self) -> frozenset[int]:
-        return frozenset(self._rows)
-
-    def row(self, c: int) -> np.ndarray:
-        return self._rows[c]
-
-    def items(self):
-        return self._rows.items()
+        if not (math.isfinite(self.std) and self.std > 0):
+            raise ConfigurationError("head init std must be finite and positive")
 
 
 class RCHState:
-    """All head groups of one learner, with cached remapping.
+    """All head rows of one learner in one (R, d) array, with cached remapping.
 
-    Head rows are written only through `set_rows` / `add_to_rows`, which
-    invalidate the cached remapped matrix. One RCHState belongs to exactly
-    one trial; reads need no synchronization once training is done.
+    Session t's rows form one contiguous block, in sorted class order;
+    `_row_class` names the class of every row and `_row_pos` its class's
+    position in `class_order`. Rows are written only through
+    `set_rows` / `add_to_rows`, which invalidate the cached remapped matrix.
+    One RCHState belongs to exactly one trial.
     """
 
     def __init__(self, feature_dim: int):
         if feature_dim < 1:
             raise ConfigurationError(f"feature dimension must be >= 1, got {feature_dim}")
         self.feature_dim = feature_dim
-        self.head_groups: list[HeadGroup] = []
-        self._class_sessions: dict[int, list[int]] = {}
-        self._cache: tuple[tuple[int, ...], np.ndarray] | None = None
+        self._rows = np.zeros((0, feature_dim))
+        self._row_class = np.zeros(0, dtype=np.int64)
+        self._row_pos = self._row_class
+        self._order: tuple[int, ...] = ()
+        self._bounds = [0]  # session t owns rows _bounds[t-1]:_bounds[t]
+        self._remapped: np.ndarray | None = None
+
+    @property
+    def n_sessions(self) -> int:
+        return len(self._bounds) - 1
 
     @property
     def known_classes(self) -> frozenset[int]:
-        return frozenset(self._class_sessions)
+        return frozenset(self._order)
 
     @property
     def class_sessions(self) -> dict[int, tuple[int, ...]]:
-        return {c: tuple(ts) for c, ts in self._class_sessions.items()}
+        sessions: dict[int, tuple[int, ...]] = {}
+        for t in range(1, self.n_sessions + 1):
+            for c in self._row_class[self._block(t)].tolist():
+                sessions[c] = sessions.get(c, ()) + (t,)
+        return sessions
 
     @property
     def class_order(self) -> tuple[int, ...]:
         """Known classes sorted by index; the row order of `remap`."""
-        return tuple(sorted(self._class_sessions))
+        return self._order
 
     def add_session(self, label_set: AbstractSet[int], init: InitSpec = InitSpec(),
-                    rng: Xoshiro256StarStar | None = None) -> HeadGroup:
-        """Append the next session's head group, one row per class in `label_set`."""
+                    rng: Xoshiro256StarStar | None = None) -> int:
+        """Append the next session's rows, one per class in `label_set`; returns
+        the new session's index."""
         if not label_set:
             raise ConfigurationError("a session's label set must be non-empty")
-        t = len(self.head_groups) + 1
-        rows: dict[int, np.ndarray] = {}
-        for c in sorted(label_set):
-            if init.kind == "gaussian":
-                if rng is None:
-                    raise ConfigurationError("gaussian head init needs an rng")
-                rows[c] = rng.normals(self.feature_dim) * init.std
-            else:
-                rows[c] = np.zeros(self.feature_dim)
-        group = HeadGroup(t, rows)
-        self.head_groups.append(group)
-        for c in sorted(label_set):
-            self._class_sessions.setdefault(c, []).append(t)
-        self._cache = None
-        return group
+        classes = sorted(label_set)
+        if init.kind == "gaussian":
+            if rng is None:
+                raise ConfigurationError("gaussian head init needs an rng")
+            rows = np.array([rng.normals(self.feature_dim) * init.std for _ in classes])
+        else:
+            rows = np.zeros((len(classes), self.feature_dim))
+        self._rows = np.vstack([self._rows, rows])
+        self._row_class = np.concatenate([self._row_class, classes])
+        order, self._row_pos = np.unique(self._row_class, return_inverse=True)
+        self._order = tuple(order.tolist())
+        self._bounds.append(len(self._row_class))
+        self._remapped = None
+        return self.n_sessions
 
-    def group(self, t: int) -> HeadGroup:
-        if not 1 <= t <= len(self.head_groups):
-            raise IndexError(f"session index {t} out of range 1..{len(self.head_groups)}")
-        return self.head_groups[t - 1]
+    def _block(self, t: int) -> slice:
+        if not 1 <= t <= self.n_sessions:
+            raise IndexError(f"session index {t} out of range 1..{self.n_sessions}")
+        return slice(self._bounds[t - 1], self._bounds[t])
 
-    def _write(self, t: int, updates: Mapping[int, np.ndarray], *, add: bool) -> None:
-        group = self.group(t)
-        for c, value in updates.items():
-            if c not in group.classes:
-                raise KeyError(f"class {c} has no row in session {t}'s head group")
-            value = np.asarray(value, dtype=np.float64)
-            if value.shape != (self.feature_dim,):
-                raise ValueError(
-                    f"row for class {c} has shape {value.shape}, "
-                    f"expected ({self.feature_dim},)")
-            group._rows[c] = group._rows[c] + value if add else value.copy()
-        self._cache = None
+    def session_rows(self, t: int) -> dict[int, np.ndarray]:
+        """A copy of session t's rows, keyed by class in sorted order."""
+        block = self._block(t)
+        return dict(zip(self._row_class[block].tolist(), self._rows[block].copy()))
 
     def set_rows(self, t: int, updates: Mapping[int, np.ndarray]) -> None:
-        """Overwrite rows of session t's group; keys must already exist."""
-        self._write(t, updates, add=False)
+        """Overwrite rows of session t; every key must be one of its classes."""
+        block = self._block(t)
+        index = {c: i for i, c in enumerate(self._row_class[block].tolist(), block.start)}
+        self._remapped = None
+        for c, row in updates.items():
+            if c not in index:
+                raise KeyError(f"class {c} has no row in session {t}")
+            row = np.asarray(row, dtype=np.float64)
+            if row.shape != (self.feature_dim,):
+                raise ValueError(f"row for class {c} has shape {row.shape}, "
+                                 f"expected ({self.feature_dim},)")
+            self._rows[index[c]] = row
 
-    def add_to_rows(self, t: int, deltas: Mapping[int, np.ndarray]) -> None:
-        """Add deltas to rows of session t's group (gradient steps)."""
-        self._write(t, deltas, add=True)
+    def add_to_rows(self, t: int, deltas: np.ndarray) -> None:
+        """Add an (n_t, d) array to session t's rows, in class order (gradient steps)."""
+        block = self._block(t)
+        deltas = np.asarray(deltas, dtype=np.float64)
+        expected = (block.stop - block.start, self.feature_dim)
+        if deltas.shape != expected:
+            raise ValueError(f"deltas for session {t} have shape {deltas.shape}, "
+                             f"expected {expected}")
+        self._rows[block] += deltas
+        self._remapped = None
 
     def remap(self) -> np.ndarray:
-        """Remapped weight matrix: row i is the summed row of class_order[i].
+        """Remapped weight matrix, read-only: row i is the summed row of
+        class_order[i].
 
         Summation runs in session order starting from zeros, so appending an
-        all-zero group leaves existing rows bitwise unchanged.
+        all-zero session leaves existing rows bitwise unchanged.
         """
-        if not self.head_groups:
-            raise ConfigurationError("remap needs at least one head group")
-        if self._cache is not None:
-            return self._cache[1]
-        order = self.class_order
-        position = {c: i for i, c in enumerate(order)}
-        matrix = np.zeros((len(order), self.feature_dim))
-        for group in self.head_groups:
-            for c in sorted(group.classes):
-                matrix[position[c]] += group.row(c)
-        self._cache = (order, matrix)
-        return matrix
+        if self.n_sessions == 0:
+            raise ConfigurationError("remap needs at least one session")
+        if self._remapped is None:
+            matrix = np.zeros((len(self._order), self.feature_dim))
+            np.add.at(matrix, self._row_pos, self._rows)  # unbuffered: rows added in order
+            matrix.flags.writeable = False
+            self._remapped = matrix
+        return self._remapped
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=np.float64)
@@ -181,11 +183,10 @@ class RCHState:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(["session", "class"] + [f"w{i}" for i in range(self.feature_dim)])
-            for group in self.head_groups:
-                for c in sorted(group.classes):
+            for t in range(1, self.n_sessions + 1):
+                for c, row in self.session_rows(t).items():
                     name = registry.name_of(c) if registry is not None else str(c)
-                    writer.writerow([group.session_index, name]
-                                    + [repr(float(v)) for v in group.row(c)])
+                    writer.writerow([t, name] + [repr(float(v)) for v in row])
 
     @classmethod
     def from_csv(cls, path: str | Path, feature_dim: int,
@@ -201,9 +202,9 @@ class RCHState:
                     [float(v) for v in row[2:]])
         state = cls(feature_dim)
         for t in sorted(rows_by_session):
-            group_rows = rows_by_session[t]
-            state.add_session(frozenset(group_rows))
-            state.set_rows(t, group_rows)
+            rows = rows_by_session[t]
+            state.add_session(frozenset(rows))
+            state.set_rows(t, rows)
         return state
 
 

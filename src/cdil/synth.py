@@ -17,7 +17,7 @@ exact class+session(+subject) means.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -81,6 +81,9 @@ class SynthSpec:
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "SynthSpec":
         kwargs = dict(data)
+        unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigurationError(f"unknown synthetic spec field(s) {unknown}")
         if "session_label_sets" in kwargs:
             kwargs["session_label_sets"] = tuple(
                 tuple(labels) for labels in kwargs["session_label_sets"])

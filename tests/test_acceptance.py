@@ -82,8 +82,7 @@ def random_rch_state(rng, max_dim=4, max_sessions=3, max_classes=5):
         classes = set()
         while len(classes) < size:
             classes.add(rng.randbelow(n_classes))
-        state.add_session(classes)
-        state.set_rows(len(state.head_groups),
+        state.set_rows(state.add_session(classes),
                        {c: np.array([rng.normal() for _ in range(dim)]) for c in classes})
     return state, dim
 
@@ -97,7 +96,7 @@ def default_sweep():
         for protocol in (SLCV, ILCV):
             for seed in ORDERING_SEEDS:
                 cfg = ExperimentConfig(protocol=protocol, learner=learner, seed=seed,
-                                       synth=SynthSpec(seed=seed), threads=5)
+                                       synth=SynthSpec(seed=seed))
                 sweep[(learner, protocol, seed)] = run_experiment(cfg).mean_average
     return sweep
 
@@ -204,8 +203,10 @@ def test_criterion_04_rch_oracle_equivalence():
         state, dim = random_rch_state(rng)
         x = np.array([rng.normal() for _ in range(dim)])
         # brute-force per-session logit summation, no remapped matrix
-        logits = {c: sum(float(x @ g.row(c)) for g in state.head_groups if c in g.classes)
-                  for c in state.known_classes}
+        logits = {}
+        for t in range(1, state.n_sessions + 1):
+            for c, row in state.session_rows(t).items():
+                logits[c] = logits.get(c, 0.0) + float(x @ row)
         best = max(sorted(logits), key=lambda c: (logits[c], -c))
         assert state.predict(x) == best
         matrix = state.remap()
@@ -375,7 +376,7 @@ def test_criterion_11_full_default_experiment_runtime():
         for protocol in (SLCV, ILCV):
             spec = SynthSpec(seed=500, samples_per_class_per_session=100)
             cfg = ExperimentConfig(protocol=protocol, learner=learner, seed=500,
-                                   synth=spec, threads=5)
+                                   synth=spec)
             report = run_experiment(cfg)
             assert report.k == 5
             if total_samples is None:

@@ -138,6 +138,27 @@ class TestLoadSessionFeatures:
         with pytest.raises(DataLoadError, match="line 3"):
             load_sequence(load_manifest(path))
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_rejected_with_line(self, tmp_path, value):
+        write_feature_csv(tmp_path / "s.csv", 2, [
+            ["x1", "p", "a", "1.0", "2.0"],
+            ["x2", "p", "a", "1.0", value],
+        ])
+        path = tmp_path / "m.json"
+        write_manifest(path, [{"name": "s", "label_names": ["a"],
+                               "features_path": "s.csv"}])
+        with pytest.raises(DataLoadError, match=r"s\.csv: line 3: field 'features'"):
+            load_sequence(load_manifest(path))
+
+    @pytest.mark.parametrize("value", ["two", 2.5, -1, True, None])
+    def test_bad_min_samples_per_class_names_the_field(self, tmp_path, value):
+        write_feature_csv(tmp_path / "s.csv", 2, [["x1", "p", "a", "1.0", "2.0"]])
+        path = tmp_path / "m.json"
+        write_manifest(path, [{"name": "s", "label_names": ["a"],
+                               "features_path": "s.csv", "min_samples_per_class": value}])
+        with pytest.raises(DataLoadError, match=r"sessions\[1\]\.min_samples_per_class"):
+            load_manifest(path)
+
     def test_unknown_label_rejected_with_line(self, tmp_path):
         write_feature_csv(tmp_path / "s.csv", 2, [["x1", "p", "undeclared", "1", "2"]])
         path = tmp_path / "m.json"
@@ -279,6 +300,36 @@ class TestCli:
         assert cli_main(["run", "--config", str(config), "--deterministic"]) == 0
         assert cli_main(["report", "--in", str(tmp_path / "out")]) == 0
         assert "Session 1" in capsys.readouterr().out
+
+    def test_deterministic_flag_is_only_echoed(self, tmp_path):
+        config = self.run_config(tmp_path)
+        outs = {}
+        for flag in ([], ["--deterministic"]):
+            out = tmp_path / ("det" if flag else "plain")
+            assert cli_main(["run", "--config", str(config), "--out", str(out)] + flag) == 0
+            outs[bool(flag)] = out
+        for trial in (1, 2, 3):
+            name = f"trials/trial_{trial}.json"
+            assert (outs[False] / name).read_bytes() == (outs[True] / name).read_bytes()
+        plain = (outs[False] / "report.json").read_text(encoding="utf-8")
+        det = (outs[True] / "report.json").read_text(encoding="utf-8")
+        assert plain != det
+        assert plain.replace('"deterministic": false', '"deterministic": true') == det
+
+    def test_unknown_synthetic_key_exits_2(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        data = json.loads(config.read_text(encoding="utf-8"))
+        data["data"]["synthetic"]["colour"] = "blue"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert "colour" in capsys.readouterr().err
+
+    def test_report_rejects_a_partial_run(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        (tmp_path / "out" / "trials" / "trial_2.json").unlink()
+        assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
+        assert "expected trial files 1..3, found [1, 3]" in capsys.readouterr().err
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 2

@@ -65,6 +65,13 @@ class TestLearnerConfig:
         {"ridge_lambda": 0.0},
         {"nonlinearity": "tanh"},
         {"prototype_stats": "weird"},
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"ridge_lambda": math.nan},
+        {"ridge_lambda": math.inf},
+        {"head_init_std": math.nan},
+        {"head_init_std": math.inf},
+        {"head_init_std": 0.0},
     ])
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ConfigurationError):
@@ -109,11 +116,11 @@ class TestFinetune:
         learner = FinetuneLearner(2, cfg)
         X1 = rng.normals((12, 2))
         learner.update(as_samples(X1, [0, 1] * 6, prefix="a"), {0, 1})
-        group1 = {c: learner.rch.group(1).row(c).copy() for c in (0, 1)}
+        session1 = learner.rch.session_rows(1)
         X2 = rng.normals((12, 2))
         learner.update(as_samples(X2, [2, 3] * 6, prefix="b"), {2, 3})
         for c in (0, 1):
-            assert np.array_equal(learner.rch.group(1).row(c), group1[c])
+            assert np.array_equal(learner.rch.session_rows(1)[c], session1[c])
 
     def test_descent_on_fixed_batch_with_frozen_features(self):
         rng = substream(4, "descent")
@@ -128,7 +135,7 @@ class TestFinetune:
         for _ in range(10):
             loss, d_remap, _ = finetune_loss_and_grads(X, labels_pos, learner.rch.remap())
             losses.append(loss)
-            learner.rch.add_to_rows(1, {c: -cfg.learning_rate * d_remap[c] for c in (0, 1)})
+            learner.rch.add_to_rows(1, -cfg.learning_rate * d_remap)
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_divergent_training_raises_numerical_error(self):
@@ -218,7 +225,7 @@ class TestFinetuneGradients:
         y = np.array([rng.randbelow(3) for _ in range(6)])
         _, d_remap, _ = finetune_loss_and_grads(X, y, learner.rch.remap())
         h = 1e-6
-        row = learner.rch.group(2).row(1).copy()
+        row = learner.rch.session_rows(2)[1]
         for i in range(d):
             bump = np.zeros(d)
             bump[i] = h
@@ -349,7 +356,7 @@ class TestPrototype:
         X = rng.normals((10, 4))
         learner = PrototypeLearner(4, LearnerConfig(), experiment_seed=8)
         learner.update(as_samples(X, [0] * 10), {0, 1})  # class 1 declared, no samples
-        assert np.array_equal(learner.rch.group(1).row(1), np.zeros(learner.head_dim))
+        assert np.array_equal(learner.rch.session_rows(1)[1], np.zeros(learner.head_dim))
 
     def test_deterministic_given_data_and_seeds(self):
         rng = substream(16, "determinism")

@@ -205,11 +205,6 @@ class TestRunExperiment:
         run_experiment(cfg)
         assert len(draws) == 2
 
-    def test_parallel_matches_sequential(self):
-        sequential = run_experiment(quick_config())
-        parallel = run_experiment(quick_config(deterministic=False, threads=4))
-        assert sequential.trials == parallel.trials
-
     def test_slcv_and_ilcv_share_the_stream_but_not_folds(self):
         cfg_a = quick_config(protocol="slcv")
         cfg_b = quick_config(protocol="ilcv")
@@ -244,17 +239,6 @@ class TestRunExperiment:
             quick_config(learner="resnet")
         with pytest.raises(ConfigurationError):
             ExperimentConfig(synth=None, manifest=None)
-
-    def test_thread_env_var_parsed(self, monkeypatch):
-        from cdil.pipeline import _thread_budget
-        cfg = quick_config(deterministic=False)
-        monkeypatch.setenv("CDIL_THREADS", "2")
-        assert _thread_budget(cfg) == 2
-        monkeypatch.setenv("CDIL_THREADS", "junk")
-        with pytest.raises(ConfigurationError, match="CDIL_THREADS"):
-            _thread_budget(cfg)
-        monkeypatch.delenv("CDIL_THREADS")
-        assert _thread_budget(quick_config()) == 1  # deterministic mode
 
     def test_failure_aborts_whole_experiment(self):
         class ExplodingLearner(OracleLearner):

@@ -26,26 +26,34 @@ def random_state(rng, max_dim=4, max_sessions=3, max_classes=5):
         classes = set()
         while len(classes) < size:
             classes.add(rng.randbelow(n_classes))
-        state.add_session(classes)
-        state.set_rows(len(state.head_groups),
+        state.set_rows(state.add_session(classes),
                        {c: np.array([rng.normal() for _ in range(dim)])
                         for c in classes})
     return state, dim
+
+
+def per_session_logits(state, x):
+    """Brute force: sum x.H_t^c per class across sessions, never remapping."""
+    logits = {}
+    for t in range(1, state.n_sessions + 1):
+        for c, row in state.session_rows(t).items():
+            logits[c] = logits.get(c, 0.0) + float(x @ row)
+    return logits
 
 
 class TestAddSession:
     def test_first_session(self):
         state = RCHState(4)
         state.add_session({0, 1, 2, 3, 4})
-        assert len(state.head_groups) == 1
+        assert state.n_sessions == 1
         assert state.known_classes == {0, 1, 2, 3, 4}
-        assert state.group(1).classes == {0, 1, 2, 3, 4}
+        assert list(state.session_rows(1)) == [0, 1, 2, 3, 4]
 
     def test_overlapping_second_session(self):
         state = RCHState(4)
         state.add_session({0, 1, 2, 3, 4})
         state.add_session({1, 2, 4, 5, 6})  # 3 overlaps, 2 novel
-        assert len(state.head_groups) == 2
+        assert state.n_sessions == 2
         assert state.known_classes == {0, 1, 2, 3, 4, 5, 6}
         sessions = state.class_sessions
         for c in (1, 2, 4):
@@ -123,11 +131,46 @@ class TestRemap:
             state, dim = random_state(rng)
             x = np.array([rng.normal() for _ in range(dim)])
             matrix = state.remap()
+            direct = per_session_logits(state, x)
             for pos, c in enumerate(state.class_order):
-                direct = sum(float(x @ g.row(c)) for g in state.head_groups
-                             if c in g.classes)
                 remapped = float(x @ matrix[pos])
-                assert remapped == pytest.approx(direct, rel=1e-10, abs=1e-12)
+                assert remapped == pytest.approx(direct[c], rel=1e-10, abs=1e-12)
+
+    def test_bitwise_equal_to_per_session_loop(self):
+        # rows spanning 1e-8..1e8 make any change in summation order visible
+        rng = Xoshiro256StarStar(4242)
+        for _ in range(200):
+            state, dim = random_state(rng, max_dim=6, max_sessions=5, max_classes=6)
+            for t in range(1, state.n_sessions + 1):
+                rows = state.session_rows(t)
+                state.set_rows(t, {c: row * 10.0 ** np.array(
+                    [rng.randbelow(17) - 8 for _ in row]) for c, row in rows.items()})
+            position = {c: i for i, c in enumerate(state.class_order)}
+            expected = np.zeros((len(position), dim))
+            for t in range(1, state.n_sessions + 1):
+                for c, row in state.session_rows(t).items():
+                    expected[position[c]] += row
+            assert np.array_equal(state.remap(), expected)
+
+    def test_remap_is_read_only(self):
+        state = RCHState(2)
+        state.add_session({0})
+        with pytest.raises(ValueError):
+            state.remap()[0, 0] = 1.0
+
+    def test_writes_validated(self):
+        state = RCHState(2)
+        state.add_session({0, 1})
+        with pytest.raises(KeyError):
+            state.set_rows(1, {2: np.zeros(2)})
+        with pytest.raises(ValueError):
+            state.set_rows(1, {0: np.zeros(3)})
+        with pytest.raises(ValueError):
+            state.add_to_rows(1, np.zeros((1, 2)))
+        with pytest.raises(IndexError):
+            state.add_to_rows(2, np.zeros((2, 2)))
+        state.add_to_rows(1, np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert state.remap().tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestPredictProba:
@@ -203,9 +246,7 @@ class TestPredict:
         for _ in range(1000):
             state, dim = random_state(rng)
             x = np.array([rng.normal() for _ in range(dim)])
-            logits = {c: sum(float(x @ g.row(c)) for g in state.head_groups
-                             if c in g.classes)
-                      for c in state.known_classes}
+            logits = per_session_logits(state, x)
             best = max(sorted(logits), key=lambda c: (logits[c], -c))
             assert state.predict(x) == best
 
