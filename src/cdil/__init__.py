@@ -1,28 +1,26 @@
 """Benchmark engine for composite class-domain incremental learning."""
 
 from .core import (ConfigurationError, DataLoadError, LabelRegistry, NumericalError,
-                   ProtocolError, Sample, SessionDataset, SessionSequence)
+                   ProtocolError, SessionDataset, SessionSequence)
 from .learners import (FinetuneLearner, Learner, LearnerConfig, PrototypeLearner,
                        make_learner)
 from .metrics import (ExperimentReport, TrialResult, aggregate, average_accuracy,
                       final_accuracy)
 from .pipeline import ExperimentConfig, run_experiment, run_session, run_trial
 from .rch import InitSpec, RCHState
-from .splitters import (FoldAssignment, TrialPlan, bind_folds, cumulative_test_ids,
-                        ilcv_partition, slcv_partition)
+from .splitters import FoldAssignment, bind_folds, ilcv_partition, slcv_partition
 from .synth import DEFAULT_SESSION_LABELS, SynthSpec, generate_stream
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ConfigurationError", "DataLoadError", "LabelRegistry", "NumericalError",
-    "ProtocolError", "Sample", "SessionDataset", "SessionSequence",
+    "ProtocolError", "SessionDataset", "SessionSequence",
     "FinetuneLearner", "Learner", "LearnerConfig", "PrototypeLearner", "make_learner",
     "ExperimentReport", "TrialResult", "aggregate", "average_accuracy", "final_accuracy",
     "ExperimentConfig", "run_experiment", "run_session", "run_trial",
     "InitSpec", "RCHState",
-    "FoldAssignment", "TrialPlan", "bind_folds", "cumulative_test_ids",
-    "ilcv_partition", "slcv_partition",
+    "FoldAssignment", "bind_folds", "ilcv_partition", "slcv_partition",
     "DEFAULT_SESSION_LABELS", "SynthSpec", "generate_stream",
     "__version__",
 ]

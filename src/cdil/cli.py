@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import logging
 import sys
 from dataclasses import fields as dataclass_fields
@@ -32,18 +31,9 @@ from pathlib import Path
 from .core import DataLoadError
 from .learners import LearnerConfig
 from .pipeline import ExperimentConfig, build_sequence, partition_sequence, run_experiment
-from .interface import format_report_table, write_report, write_stream, reaggregate_trials
+from .interface import (format_report_table, read_json, reaggregate_trials, write_report,
+                        write_stream)
 from .synth import SynthSpec, generate_stream
-
-
-def _load_json(path: Path) -> dict:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except FileNotFoundError:
-        raise DataLoadError("config file not found", path=path) from None
-    except json.JSONDecodeError as exc:
-        raise DataLoadError(f"not valid JSON: {exc}", path=path, line=exc.lineno) from None
 
 
 def _learner_config_from(data: dict) -> tuple[str, LearnerConfig]:
@@ -60,7 +50,7 @@ def _learner_config_from(data: dict) -> tuple[str, LearnerConfig]:
 def config_from_file(path: str | Path, overrides: argparse.Namespace | None = None
                      ) -> ExperimentConfig:
     path = Path(path)
-    data = _load_json(path)
+    data = read_json(path)
     variant, learner_cfg = _learner_config_from(data.get("learner", {}))
     data_section = data.get("data", {})
     synth = None
@@ -106,7 +96,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec_data = _load_json(Path(args.spec)) if args.spec else {}
+    spec_data = read_json(Path(args.spec)) if args.spec else {}
     if args.seed is not None:
         spec_data["seed"] = args.seed
     spec = SynthSpec.from_dict(spec_data)
@@ -128,9 +118,9 @@ def _cmd_split(args: argparse.Namespace) -> int:
         writer = csv.writer(fh)
         writer.writerow(["session", "sample_id", "subject_id", "fold"])
         for session, assignment in zip(seq.sessions, assignments):
-            for sample in session.samples:
-                writer.writerow([session.session_index, sample.sample_id,
-                                 sample.subject_id, assignment.fold_of[sample.sample_id]])
+            for sample_id, subject_id, fold in zip(session.sample_ids, session.subject_ids,
+                                                   assignment.folds.tolist()):
+                writer.writerow([session.session_index, sample_id, subject_id, fold])
     sys.stderr.write(f"fold assignments written to {out_path}\n")
     return 0
 

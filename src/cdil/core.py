@@ -1,4 +1,4 @@
-"""Domain types shared by every other module: samples, sessions, label registry.
+"""Domain types shared by every other module: sessions, label registry, errors.
 
 A benchmark run sees an ordered stream of session datasets. Each session
 carries its own label set; the label space the model must cover at session t
@@ -8,8 +8,9 @@ assigned by first appearance in session order, so the space only ever grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+import numbers
+from collections import Counter
+from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Sequence
 
 import numpy as np
@@ -44,6 +45,21 @@ class DataLoadError(ValueError):
             where.append(f"field '{field}'")
         prefix = ": ".join(where)
         super().__init__(f"{prefix}: {message}" if prefix else message)
+
+
+def check_int(name: str, value, minimum: int | None = None) -> None:
+    """Reject a value that is not an integer (a bool or a float included) or
+    lies below `minimum`, naming the field."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or (minimum is not None and value < minimum)):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ConfigurationError(f"{name} must be an integer{bound}, got {value!r}")
+
+
+def check_real(name: str, value) -> None:
+    """Reject a value that is not a real number (a bool included), naming the field."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
 
 
 class LabelRegistry:
@@ -88,26 +104,22 @@ class LabelRegistry:
 
 
 @dataclass(frozen=True, eq=False)
-class Sample:
-    """One labeled feature vector with its subject identity."""
-
-    sample_id: str
-    subject_id: str
-    label: int
-    features: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
 class SessionDataset:
-    """All samples of one session, with its label set and subject set."""
+    """One session as columns: row i is (sample_ids[i], subject_ids[i],
+    labels[i], features[i]). The arrays are read-only; the ids stay Python
+    strings, so no id is truncated or compared as a fixed-width array entry."""
 
     session_index: int
-    samples: tuple[Sample, ...]
+    features: np.ndarray
+    labels: np.ndarray
+    sample_ids: tuple[str, ...]
+    subject_ids: tuple[str, ...]
     label_set: frozenset[int]
     subjects: frozenset[str]
 
     @classmethod
-    def build(cls, session_index: int, samples: Sequence[Sample],
+    def build(cls, session_index: int, features, labels, sample_ids: Sequence[str],
+              subject_ids: Sequence[str],
               label_set: AbstractSet[int] | None = None) -> "SessionDataset":
         """Validate and construct; `label_set` defaults to the realized labels.
 
@@ -115,34 +127,35 @@ class SessionDataset:
         can legitimately end up with zero samples after filtering), never a
         subset.
         """
-        if len(samples) < 1:
+        features = np.array(features, dtype=np.float64)
+        labels = np.array(labels, dtype=np.int64)
+        sample_ids, subject_ids = tuple(sample_ids), tuple(subject_ids)
+        n = len(sample_ids)
+        if n < 1:
             raise ConfigurationError(f"session {session_index} has no samples")
         if session_index < 1:
             raise ConfigurationError(f"session index must be >= 1, got {session_index}")
-        realized = frozenset(s.label for s in samples)
+        if features.ndim != 2 or {len(features), len(subject_ids)} != {n} or labels.shape != (n,):
+            raise ConfigurationError(f"session {session_index}: columns disagree in length")
+        realized = frozenset(labels.tolist())
         if label_set is None:
             label_set = realized
         elif not realized <= frozenset(label_set):
             extra = sorted(realized - frozenset(label_set))
             raise ConfigurationError(
                 f"session {session_index}: sample labels {extra} not in declared label set")
-        seen_ids: set[str] = set()
-        for s in samples:
-            if s.sample_id in seen_ids:
-                raise ConfigurationError(
-                    f"session {session_index}: duplicate sample_id {s.sample_id!r}")
-            seen_ids.add(s.sample_id)
-        subjects = frozenset(s.subject_id for s in samples)
-        return cls(session_index=session_index, samples=tuple(samples),
-                   label_set=frozenset(label_set), subjects=subjects)
+        if len(set(sample_ids)) != n:
+            duplicate = next(sid for sid, count in Counter(sample_ids).items() if count > 1)
+            raise ConfigurationError(
+                f"session {session_index}: duplicate sample_id {duplicate!r}")
+        features.flags.writeable = labels.flags.writeable = False
+        return cls(session_index=session_index, features=features, labels=labels,
+                   sample_ids=sample_ids, subject_ids=subject_ids,
+                   label_set=frozenset(label_set), subjects=frozenset(subject_ids))
 
     @property
     def size(self) -> int:
-        return len(self.samples)
-
-    @cached_property
-    def by_id(self) -> dict[str, Sample]:
-        return {s.sample_id: s for s in self.samples}
+        return len(self.sample_ids)
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,14 +176,14 @@ class SessionSequence:
                 raise ConfigurationError(
                     f"session indices must run 1..n in order; "
                     f"position {expected} holds index {session.session_index}")
-            for s in session.samples:
-                if s.features.shape != (feature_dim,):
-                    raise ValueError(
-                        f"sample {s.sample_id!r} has feature shape {s.features.shape}, "
-                        f"expected ({feature_dim},)")
-                if not 0 <= s.label < len(registry):
-                    raise ConfigurationError(
-                        f"sample {s.sample_id!r} carries unregistered label {s.label}")
+            if session.features.shape[1] != feature_dim:
+                raise ValueError(
+                    f"session {expected} has feature dimension "
+                    f"{session.features.shape[1]}, expected {feature_dim}")
+            unregistered = sorted(c for c in session.label_set if not 0 <= c < len(registry))
+            if unregistered:
+                raise ConfigurationError(
+                    f"session {expected} carries unregistered labels {unregistered}")
         return cls(sessions=tuple(sessions), registry=registry, feature_dim=feature_dim)
 
     @property

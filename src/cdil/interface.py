@@ -29,12 +29,12 @@ import json
 import logging
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
-from .core import (DataLoadError, LabelRegistry, ProtocolError, Sample,
-                   SessionDataset, SessionSequence)
+from .core import DataLoadError, LabelRegistry, ProtocolError, SessionDataset, SessionSequence
 from .metrics import ExperimentReport, TrialResult, aggregate
 
 logger = logging.getLogger(__name__)
@@ -68,16 +68,21 @@ class Manifest:
         return registry
 
 
-def load_manifest(path: str | Path) -> Manifest:
-    path = Path(path)
+def read_json(path: str | Path):
+    """Parse a JSON file; a missing file or bad JSON raises DataLoadError naming
+    the file (and the line, for bad JSON)."""
     try:
         with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError:
-        raise DataLoadError("manifest file not found", path=path) from None
+        raise DataLoadError("file not found", path=path) from None
     except json.JSONDecodeError as exc:
         raise DataLoadError(f"not valid JSON: {exc}", path=path, line=exc.lineno) from None
 
+
+def load_manifest(path: str | Path) -> Manifest:
+    path = Path(path)
+    data = read_json(path)
     for key in ("name", "feature_dim", "sessions"):
         if key not in data:
             raise DataLoadError("missing required field", path=path, field=key)
@@ -86,6 +91,9 @@ def load_manifest(path: str | Path) -> Manifest:
         raise DataLoadError("must be a positive integer", path=path, field="feature_dim")
     if not isinstance(data["sessions"], list) or not data["sessions"]:
         raise DataLoadError("must be a non-empty list", path=path, field="sessions")
+    shared_subjects = data.get("shared_subjects", False)
+    if not isinstance(shared_subjects, bool):
+        raise DataLoadError("must be true or false", path=path, field="shared_subjects")
 
     entries = []
     seen_names: set[str] = set()
@@ -96,6 +104,8 @@ def load_manifest(path: str | Path) -> Manifest:
                 raise DataLoadError("missing required field", path=path,
                                     field=f"{where}.{key}")
         name = raw["name"]
+        if not isinstance(name, str):
+            raise DataLoadError("must be a string", path=path, field=f"{where}.name")
         if name in seen_names:
             raise DataLoadError(f"duplicate session name {name!r}", path=path,
                                 field=f"{where}.name")
@@ -124,7 +134,7 @@ def load_manifest(path: str | Path) -> Manifest:
         ))
     return Manifest(name=data["name"], feature_dim=feature_dim,
                     sessions=tuple(entries),
-                    shared_subjects=bool(data.get("shared_subjects", False)),
+                    shared_subjects=shared_subjects,
                     path=path)
 
 
@@ -139,7 +149,8 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
     path = entry.features_path
     expected_header = list(FEATURE_HEADER_FIXED) + [f"f{i}" for i in range(feature_dim)]
     declared = set(entry.label_names)
-    rows: list[tuple[str, str, str, np.ndarray]] = []
+    ids: list[tuple[str, str, str]] = []  # (sample id, subject id, label name) per row
+    rows: list[list[float]] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -167,19 +178,23 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
                     f"label {label_name!r} is not declared for session {entry.name!r}",
                     path=path, line=line_no, field="label")
             try:
-                features = np.array([float(v) for v in row[3:]])
+                rows.append([float(v) for v in row[3:]])
             except ValueError:
                 raise DataLoadError("non-numeric feature value",
                                     path=path, line=line_no, field="features") from None
-            if not np.isfinite(features).all():
-                raise DataLoadError("non-finite feature value",
-                                    path=path, line=line_no, field="features")
-            rows.append((sample_id, subject_id, label_name, features))
+            if not shared_subjects:
+                subject_id = f"s{session_index}:{subject_id}"
+            ids.append((sample_id, subject_id, label_name))
 
     if not rows:
         raise DataLoadError("feature file has no data rows", path=path, line=2)
+    features = np.array(rows, dtype=np.float64)
+    non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    if len(non_finite):
+        raise DataLoadError("non-finite feature value",
+                            path=path, line=int(non_finite[0]) + 2, field="features")
 
-    counts = Counter(label_name for _, _, label_name, _ in rows)
+    counts = Counter(name for _, _, name in ids)
     kept_names = [name for name in entry.label_names
                   if counts.get(name, 0) >= entry.min_samples_per_class]
     dropped = [name for name in entry.label_names if name not in kept_names]
@@ -188,18 +203,14 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
                        entry.name, name, counts.get(name, 0),
                        entry.min_samples_per_class)
     kept = set(kept_names)
-    samples = []
-    for sample_id, subject_id, label_name, features in rows:
-        if label_name not in kept:
-            continue
-        if not shared_subjects:
-            subject_id = f"s{session_index}:{subject_id}"
-        samples.append(Sample(sample_id=sample_id, subject_id=subject_id,
-                              label=registry.index_of(label_name), features=features))
-    if not samples:
+    keep = [name in kept for _, _, name in ids]
+    if not any(keep):
         raise DataLoadError("no samples remain after the minimum-count filter", path=path)
-    label_set = frozenset(registry.index_of(name) for name in kept_names)
-    return SessionDataset.build(session_index, samples, label_set=label_set)
+    sample_ids, subject_ids, names = zip(*compress(ids, keep))
+    return SessionDataset.build(session_index, features[keep],
+                                [registry.index_of(name) for name in names],
+                                sample_ids, subject_ids,
+                                label_set={registry.index_of(name) for name in kept_names})
 
 
 def load_sequence(manifest: Manifest | str | Path) -> SessionSequence:
@@ -231,9 +242,11 @@ def write_stream(seq: SessionSequence, out_dir: str | Path,
             writer = csv.writer(fh)
             writer.writerow(list(FEATURE_HEADER_FIXED)
                             + [f"f{i}" for i in range(seq.feature_dim)])
-            for s in session.samples:
-                writer.writerow([s.sample_id, s.subject_id, seq.registry.name_of(s.label)]
-                                + [repr(float(v)) for v in s.features])
+            for sample_id, subject_id, label, row in zip(
+                    session.sample_ids, session.subject_ids, session.labels.tolist(),
+                    session.features.tolist()):
+                writer.writerow([sample_id, subject_id, seq.registry.name_of(label)]
+                                + [repr(v) for v in row])
         # class-index order preserves the registry's first-appearance order
         # across a write -> load round trip
         label_names = [seq.registry.name_of(c) for c in sorted(session.label_set)]
@@ -288,9 +301,20 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
     return report_path
 
 
+def _load_record(path: Path, from_dict):
+    """`from_dict` of a JSON file; a missing or malformed field raises
+    DataLoadError naming the file."""
+    data = read_json(path)
+    try:
+        return from_dict(data)
+    except KeyError as exc:
+        raise DataLoadError("missing required field", path=path, field=str(exc.args[0])) from None
+    except (TypeError, ValueError, ProtocolError) as exc:
+        raise DataLoadError(f"malformed record: {exc}", path=path) from None
+
+
 def load_report(path: str | Path) -> ExperimentReport:
-    with open(path, encoding="utf-8") as fh:
-        return ExperimentReport.from_dict(json.load(fh))
+    return _load_record(Path(path), ExperimentReport.from_dict)
 
 
 def reaggregate_trials(run_dir: str | Path) -> ExperimentReport:
@@ -306,10 +330,8 @@ def reaggregate_trials(run_dir: str | Path) -> ExperimentReport:
     recorded = load_report(report_path)
     k = int(recorded.config.get("k", recorded.k))
     trials_dir = run_dir / "trials"
-    trials = []
-    for p in sorted(trials_dir.glob("trial_*.json")):
-        with open(p, encoding="utf-8") as fh:
-            trials.append(TrialResult.from_dict(json.load(fh)))
+    trials = [_load_record(p, TrialResult.from_dict)
+              for p in sorted(trials_dir.glob("trial_*.json"))]
     indices = sorted(t.trial_index for t in trials)
     if indices != list(range(1, k + 1)):
         raise ProtocolError(f"{trials_dir}: expected trial files 1..{k}, found {indices}")

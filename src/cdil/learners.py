@@ -33,7 +33,7 @@ from typing import AbstractSet, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import ConfigurationError, NumericalError, ProtocolError, Sample
+from .core import ConfigurationError, NumericalError, ProtocolError, check_int, check_real
 from .rch import InitSpec, RCHState, softmax_rows
 from .rng import derive_seed, substream
 
@@ -61,22 +61,29 @@ class LearnerConfig:
     prototype_stats: str = "per_session"  # "per_session" | "cumulative"
 
     def __post_init__(self):
+        for name in ("learning_rate", "ridge_lambda", "head_init_std"):
+            check_real(name, getattr(self, name))
+        for name, minimum in (("batch_size", 1), ("epochs_first", 0), ("epochs_later", 0)):
+            check_int(name, getattr(self, name), minimum)
+        if self.projection_dim is not None:
+            check_int("projection_dim", self.projection_dim, 1)
+        if self.projection_seed is not None:
+            check_int("projection_seed", self.projection_seed)
+        for name in ("feature_map", "bias_feature"):
+            if not isinstance(getattr(self, name), bool):
+                raise ConfigurationError(f"{name} must be true or false")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ConfigurationError("learning_rate must be finite and >= 0")
-        if self.batch_size < 1 or self.epochs_first < 0 or self.epochs_later < 0:
-            raise ConfigurationError("batch size and epoch counts must be positive")
         if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda > 0):
             raise ConfigurationError("ridge_lambda must be finite and > 0")
         if not (math.isfinite(self.head_init_std) and self.head_init_std > 0):
             raise ConfigurationError("head_init_std must be finite and > 0")
-        if self.projection_dim is not None and self.projection_dim < 1:
-            raise ConfigurationError("projection_dim must be >= 1")
         if self.nonlinearity not in ("relu", "identity"):
             raise ConfigurationError(f"unknown nonlinearity {self.nonlinearity!r}")
         if self.head_init not in ("zeros", "gaussian"):
             raise ConfigurationError(f"unknown head init {self.head_init!r}")
         if self.prototype_stats not in ("per_session", "cumulative"):
-            raise ConfigurationError(f"unknown prototype stats mode {self.prototype_stats!r}")
+            raise ConfigurationError(f"unknown prototype_stats mode {self.prototype_stats!r}")
 
 
 class Learner(ABC):
@@ -85,8 +92,10 @@ class Learner(ABC):
     rch: RCHState
 
     @abstractmethod
-    def update(self, train: Sequence[Sample], label_set: AbstractSet[int]) -> None:
-        """Consume session t's training split; afterwards the learner predicts
+    def update(self, features: np.ndarray, labels: np.ndarray, sample_ids: Sequence[str],
+               label_set: AbstractSet[int]) -> None:
+        """Consume session t's training split, one row per sample: features
+        (N, d), labels (N,) and sample ids; afterwards the learner predicts
         over every class seen in sessions 1..t."""
 
     @abstractmethod
@@ -105,12 +114,6 @@ class Learner(ABC):
 
     def predict_many(self, features: np.ndarray) -> np.ndarray:
         return self.rch.predict_many(self.transform(features))
-
-
-def _stack(train: Sequence[Sample]) -> tuple[np.ndarray, np.ndarray]:
-    features = np.stack([s.features for s in train]).astype(np.float64)
-    labels = np.array([s.label for s in train], dtype=np.int64)
-    return features, labels
 
 
 def _append_bias(rows: np.ndarray) -> np.ndarray:
@@ -170,26 +173,27 @@ class FinetuneLearner(Learner):
         hidden = features @ self.feature_map.T if self.feature_map is not None else features
         return _append_bias(hidden) if self.cfg.bias_feature else hidden
 
-    def update(self, train: Sequence[Sample], label_set: AbstractSet[int]) -> None:
-        if not train:
+    def update(self, features: np.ndarray, labels: np.ndarray, sample_ids: Sequence[str],
+               label_set: AbstractSet[int]) -> None:
+        if not len(features):
             raise ProtocolError("empty training split: a bound fold consumed the whole session")
         t = self.rch.n_sessions + 1
         init = InitSpec(self.cfg.head_init, self.cfg.head_init_std)
         init_rng = substream(self._seed, "finetune", self._trial, t, "head-init")
         self.rch.add_session(label_set, init=init, rng=init_rng)
 
-        features, labels = _stack(train)
+        features = np.asarray(features, dtype=np.float64)
         if features.shape[1] != self.feature_dim:
             raise ValueError(f"training features have dimension {features.shape[1]}, "
                              f"expected {self.feature_dim}")
         order = self.rch.class_order
         position = {c: i for i, c in enumerate(order)}
-        labels_pos = np.array([position[y] for y in labels])
+        labels_pos = np.array([position[y] for y in labels.tolist()])
         session_pos = np.array([position[c] for c in sorted(label_set)])
 
         epochs = self.cfg.epochs_first if t == 1 else self.cfg.epochs_later
         shuffle_rng = substream(self._seed, "finetune", self._trial, t, "shuffle")
-        indices = list(range(len(train)))
+        indices = list(range(len(features)))
         for epoch in range(epochs):
             shuffle_rng.shuffle(indices)
             for start in range(0, len(indices), self.cfg.batch_size):
@@ -268,8 +272,9 @@ class PrototypeLearner(Learner):
             hidden = np.maximum(hidden, 0.0)
         return _append_bias(hidden) if self.cfg.bias_feature else hidden
 
-    def update(self, train: Sequence[Sample], label_set: AbstractSet[int]) -> None:
-        if not train:
+    def update(self, features: np.ndarray, labels: np.ndarray, sample_ids: Sequence[str],
+               label_set: AbstractSet[int]) -> None:
+        if not len(features):
             raise ProtocolError("empty training split: a bound fold consumed the whole session")
         classes = sorted(label_set)
         cumulative = self.cfg.prototype_stats == "cumulative"
@@ -277,10 +282,12 @@ class PrototypeLearner(Learner):
                          if cumulative and self.rch.n_sessions else {})
         t = self.rch.add_session(label_set)
 
-        # Sample ids are unique within a session, so this order depends only
+        # The ids are unique within a session, so this order depends only
         # on the set of samples: the statistics are bitwise order-independent.
-        features, labels = _stack(sorted(train, key=lambda s: (s.label, s.sample_id)))
-        gram, present, class_sums = class_statistics(self.transform(features), labels)
+        keys = list(zip(labels.tolist(), sample_ids))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        gram, present, class_sums = class_statistics(self.transform(features[order]),
+                                                     labels[order])
         sums = dict(zip(present.tolist(), class_sums))
         if cumulative:
             gram = self._cumulative_gram = self._cumulative_gram + gram

@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import compress
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import ConfigurationError, ProtocolError, SessionSequence
+from .core import ConfigurationError, ProtocolError, SessionSequence, check_int
 from .learners import (PROTOTYPE, VARIANTS, LearnerConfig, Learner, config_with_defaults,
                        draw_projection, make_learner)
 from .metrics import ExperimentReport, TrialResult, aggregate
 from .rng import derive_seed
-from .splitters import FoldAssignment, MODES, TrialPlan, bind_folds, cumulative_test_ids, partition
+from .splitters import FoldAssignment, MODES, bind_folds, partition
 from .synth import SynthSpec, generate_stream
 
 logger = logging.getLogger(__name__)
@@ -46,8 +47,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.protocol not in MODES:
             raise ConfigurationError(f"unknown protocol {self.protocol!r}; expected one of {MODES}")
-        if self.k < 2:
-            raise ConfigurationError(f"fold count must be >= 2, got {self.k}")
+        check_int("k", self.k, 2)
+        check_int("seed", self.seed)
         if self.learner not in VARIANTS:
             raise ConfigurationError(
                 f"unknown learner {self.learner!r}; expected one of {VARIANTS}")
@@ -98,22 +99,22 @@ def partition_sequence(seq: SessionSequence, k: int, seed: int,
             for session in seq.sessions]
 
 
-def run_session(learner: Learner, seq: SessionSequence, plan: TrialPlan,
+def run_session(learner: Learner, seq: SessionSequence, test_masks: Sequence[np.ndarray],
                 t: int) -> tuple[int, int]:
-    """Train on session t's bound split, evaluate cumulatively; returns (correct, total)."""
+    """Train on the rows of session t outside its test mask, then evaluate on
+    the masked rows of sessions 1..t; returns (correct, total)."""
     session = seq.session(t)
-    split = plan.split(t)
-    train = [s for s in session.samples if s.sample_id in split.train_ids]
-    if not train:
-        raise ProtocolError(
-            f"session {t}, trial {plan.trial_index}: empty training split")
-    trained_labels = {s.label for s in train}
-    for c in sorted(session.label_set - trained_labels):
+    train = ~test_masks[t - 1]
+    if not train.any():
+        raise ProtocolError(f"session {t}: empty training split")
+    labels = session.labels[train]
+    for c in sorted(session.label_set - set(labels.tolist())):
         logger.warning(
-            "session %d, trial %d: class %d has no training samples in the "
-            "bound split; nothing trains it this session", t, plan.trial_index, c)
+            "session %d: class %d has no training samples in the bound split; "
+            "nothing trains it this session", t, c)
 
-    learner.update(train, session.label_set)
+    learner.update(session.features[train], labels,
+                   tuple(compress(session.sample_ids, train)), session.label_set)
 
     expected_space = seq.cumulative_label_space(t)
     if learner.known_classes != expected_space:
@@ -121,17 +122,10 @@ def run_session(learner: Learner, seq: SessionSequence, plan: TrialPlan,
             f"session {t}: learner knows {sorted(learner.known_classes)}, "
             f"expected cumulative label space {sorted(expected_space)}")
 
-    eval_ids = cumulative_test_ids(plan, t)
-    if not eval_ids:
-        raise ProtocolError(f"session {t}, trial {plan.trial_index}: empty cumulative test set")
-    eval_samples = [seq.session(i).by_id[sid]
-                    for i in range(1, t + 1)
-                    for sid in sorted(plan.split(i).test_ids)]
-    features = np.stack([s.features for s in eval_samples])
-    labels = np.array([s.label for s in eval_samples])
-    predictions = learner.predict_many(features)
-    correct = int(np.sum(predictions == labels))
-    return correct, len(eval_samples)
+    seen = list(zip(seq.sessions[:t], test_masks))
+    test_labels = np.concatenate([s.labels[mask] for s, mask in seen])
+    predictions = learner.predict_many(np.concatenate([s.features[mask] for s, mask in seen]))
+    return int(np.sum(predictions == test_labels)), len(test_labels)
 
 
 LearnerFactory = Callable[[int], Learner]
@@ -141,7 +135,7 @@ def run_trial(cfg: ExperimentConfig, seq: SessionSequence,
               assignments: Sequence[FoldAssignment], trial_index: int,
               learner_factory: LearnerFactory | None = None) -> TrialResult:
     """One complete incremental run over all sessions with fold `trial_index` bound."""
-    plan = bind_folds(assignments, trial_index)
+    test_masks = bind_folds(assignments, trial_index)
     if learner_factory is not None:
         learner = learner_factory(trial_index)
     else:
@@ -150,7 +144,7 @@ def run_trial(cfg: ExperimentConfig, seq: SessionSequence,
     correct: list[int] = []
     total: list[int] = []
     for t in range(1, seq.n + 1):
-        c, m = run_session(learner, seq, plan, t)
+        c, m = run_session(learner, seq, test_masks, t)
         correct.append(c)
         total.append(m)
         logger.info("trial %d session %d: accuracy %.4f (%d/%d)",

@@ -7,15 +7,19 @@ seed) with the seeded xoshiro256** generator and then deal unit i to fold
 the closest realizable reading of equal-size folds when k does not divide
 the unit count.
 
-Binding fixes one fold index across all sessions: trial tau tests on fold
-tau of every session and trains on the complement, so a k-fold experiment is
-exactly k complete incremental runs rather than a cross-session product.
+A partition is one int array per session, the fold of each row. Binding
+fixes one fold index across all sessions: trial tau tests on the rows of
+fold tau of every session (a boolean mask) and trains on the complement, so
+a k-fold experiment is exactly k complete incremental runs rather than a
+cross-session product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from .core import ConfigurationError, SessionDataset
 from .rng import Xoshiro256StarStar
@@ -25,46 +29,29 @@ ILCV = "ilcv"
 MODES = (SLCV, ILCV)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FoldAssignment:
-    """Map from each sample of one session to its fold index in 1..k."""
+    """The fold index in 1..k of each row of one session (read-only)."""
 
     session_index: int
     k: int
     mode: str
     seed: int
-    fold_of: Mapping[str, int]
+    folds: np.ndarray
 
-    def fold_ids(self, tau: int) -> frozenset[str]:
-        if not 1 <= tau <= self.k:
-            raise IndexError(f"fold index {tau} out of range 1..{self.k}")
-        return frozenset(sid for sid, fold in self.fold_of.items() if fold == tau)
+    def __post_init__(self):
+        self.folds.flags.writeable = False
 
 
-@dataclass(frozen=True)
-class SessionSplit:
-    session_index: int
-    train_ids: frozenset[str]
-    test_ids: frozenset[str]
-
-
-@dataclass(frozen=True)
-class TrialPlan:
-    """The bound train/test splits of one trial, one split per session."""
-
-    trial_index: int
-    splits: tuple[SessionSplit, ...]
-
-    def split(self, t: int) -> SessionSplit:
-        if not 1 <= t <= len(self.splits):
-            raise IndexError(f"session index {t} out of range 1..{len(self.splits)}")
-        return self.splits[t - 1]
-
-
-def _deal(units: Sequence[str], k: int, seed: int) -> dict[str, int]:
-    shuffled = sorted(units)
-    Xoshiro256StarStar(seed).shuffle(shuffled)
-    return {unit: (i % k) + 1 for i, unit in enumerate(shuffled)}
+def _deal(units: Sequence[str], k: int, seed: int) -> np.ndarray:
+    """Fold of each unit: the units, in sorted order, are shuffled and the
+    i-th of the shuffle goes to fold (i mod k) + 1. Shuffling the index
+    permutation that sorts the units gives the same folds as shuffling them."""
+    order = sorted(range(len(units)), key=units.__getitem__)
+    Xoshiro256StarStar(seed).shuffle(order)
+    folds = np.empty(len(units), dtype=np.int64)
+    folds[order] = np.arange(len(units)) % k + 1
+    return folds
 
 
 def slcv_partition(session: SessionDataset, k: int, seed: int) -> FoldAssignment:
@@ -76,10 +63,10 @@ def slcv_partition(session: SessionDataset, k: int, seed: int) -> FoldAssignment
         raise ConfigurationError(
             f"session {session.session_index}: fewer subjects than folds "
             f"({n_subjects} < {k})")
-    subject_fold = _deal(sorted(session.subjects), k, seed)
-    fold_of = {s.sample_id: subject_fold[s.subject_id] for s in session.samples}
-    return FoldAssignment(session_index=session.session_index, k=k, mode=SLCV,
-                          seed=seed, fold_of=fold_of)
+    subjects = sorted(session.subjects)
+    subject_fold = dict(zip(subjects, _deal(subjects, k, seed).tolist()))
+    folds = np.array([subject_fold[s] for s in session.subject_ids], dtype=np.int64)
+    return FoldAssignment(session.session_index, k, SLCV, seed, folds)
 
 
 def ilcv_partition(session: SessionDataset, k: int, seed: int) -> FoldAssignment:
@@ -90,9 +77,8 @@ def ilcv_partition(session: SessionDataset, k: int, seed: int) -> FoldAssignment
         raise ConfigurationError(
             f"session {session.session_index}: fewer samples than folds "
             f"({session.size} < {k})")
-    fold_of = _deal([s.sample_id for s in session.samples], k, seed)
-    return FoldAssignment(session_index=session.session_index, k=k, mode=ILCV,
-                          seed=seed, fold_of=fold_of)
+    return FoldAssignment(session.session_index, k, ILCV, seed,
+                          _deal(session.sample_ids, k, seed))
 
 
 def partition(session: SessionDataset, k: int, seed: int, mode: str) -> FoldAssignment:
@@ -103,8 +89,10 @@ def partition(session: SessionDataset, k: int, seed: int, mode: str) -> FoldAssi
     raise ConfigurationError(f"unknown partition mode {mode!r}; expected one of {MODES}")
 
 
-def bind_folds(assignments: Sequence[FoldAssignment], trial_index: int) -> TrialPlan:
-    """Bind fold `trial_index` across sessions into one trial's splits."""
+def bind_folds(assignments: Sequence[FoldAssignment],
+               trial_index: int) -> tuple[np.ndarray, ...]:
+    """Bind fold `trial_index` across sessions: one boolean test mask per
+    session, in session order. The trial trains on each mask's complement."""
     if not assignments:
         raise ConfigurationError("bind_folds needs at least one assignment")
     k = assignments[0].k
@@ -116,20 +104,4 @@ def bind_folds(assignments: Sequence[FoldAssignment], trial_index: int) -> Trial
                 f"has ({a.k}, {a.mode}), expected ({k}, {mode})")
     if not 1 <= trial_index <= k:
         raise IndexError(f"trial index {trial_index} out of range 1..{k}")
-    splits = []
-    for a in assignments:
-        test_ids = a.fold_ids(trial_index)
-        train_ids = frozenset(a.fold_of) - test_ids
-        splits.append(SessionSplit(session_index=a.session_index,
-                                   train_ids=train_ids, test_ids=test_ids))
-    return TrialPlan(trial_index=trial_index, splits=tuple(splits))
-
-
-def cumulative_test_ids(plan: TrialPlan, t: int) -> set[tuple[int, str]]:
-    """Union of the bound test folds of sessions 1..t, tagged by session."""
-    if not 1 <= t <= len(plan.splits):
-        raise IndexError(f"session index {t} out of range 1..{len(plan.splits)}")
-    out: set[tuple[int, str]] = set()
-    for split in plan.splits[:t]:
-        out.update((split.session_index, sid) for sid in split.test_ids)
-    return out
+    return tuple(a.folds == trial_index for a in assignments)

@@ -22,7 +22,8 @@ from typing import Any
 
 import numpy as np
 
-from .core import ConfigurationError, LabelRegistry, Sample, SessionDataset, SessionSequence
+from .core import (ConfigurationError, LabelRegistry, SessionDataset, SessionSequence,
+                   check_int, check_real)
 from .rng import substream
 
 DEFAULT_SESSION_LABELS: tuple[tuple[str, ...], ...] = (
@@ -55,13 +56,11 @@ class SynthSpec:
                 raise ConfigurationError(f"session {t} has an empty label set")
             if len(set(labels)) != len(labels):
                 raise ConfigurationError(f"session {t} repeats a label name")
-        if self.feature_dim < 1:
-            raise ConfigurationError("feature_dim must be >= 1")
-        if self.samples_per_class_per_session < 1:
-            raise ConfigurationError("samples_per_class_per_session must be >= 1")
-        if self.subjects_per_session < 1:
-            raise ConfigurationError("subjects_per_session must be >= 1")
+        for name in ("feature_dim", "samples_per_class_per_session", "subjects_per_session"):
+            check_int(name, getattr(self, name), 1)
+        check_int("seed", self.seed)
         for name in ("class_separation", "domain_shift", "subject_shift", "noise_sigma"):
+            check_real(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise ConfigurationError(f"{name} must be >= 0")
 
@@ -134,19 +133,17 @@ def generate_stream(spec: SynthSpec) -> SessionSequence:
         class_subjects = {name: deal_order[j::len(labels)] for j, name in enumerate(labels)}
 
         noise_rng = substream(spec.seed, "noise", t)
-        samples = []
-        counter = 0
+        rows, row_labels, row_subjects = [], [], []
         for name in labels:
             mean = class_means[name] + session_shift
-            label = registry.index_of(name)
             owners = class_subjects[name]
             for m in range(spec.samples_per_class_per_session):
                 subject = owners[m % len(owners)]
                 noise = spec.noise_sigma * noise_rng.normals(spec.feature_dim)
-                x = mean + subject_shifts[subject] + noise
-                samples.append(Sample(sample_id=f"s{t}-{counter:04d}",
-                                      subject_id=subject, label=label, features=x))
-                counter += 1
-        sessions.append(SessionDataset.build(t, samples))
+                rows.append(mean + subject_shifts[subject] + noise)
+                row_labels.append(registry.index_of(name))
+                row_subjects.append(subject)
+        sample_ids = [f"s{t}-{i:04d}" for i in range(len(rows))]
+        sessions.append(SessionDataset.build(t, rows, row_labels, sample_ids, row_subjects))
 
     return SessionSequence.build(sessions, registry, spec.feature_dim)

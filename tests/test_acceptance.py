@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from cdil.cli import main as cli_main
-from cdil.core import Sample, SessionDataset
+from cdil.core import SessionDataset
 from cdil.learners import (LearnerConfig, finetune_loss_and_grads, make_learner,
                            ridge_solve)
 from cdil.metrics import TrialResult, average_accuracy, final_accuracy
 from cdil.pipeline import ExperimentConfig, partition_sequence, run_experiment, run_session, run_trial
 from cdil.rch import RCHState
 from cdil.rng import Xoshiro256StarStar
-from cdil.splitters import ILCV, SLCV, bind_folds, cumulative_test_ids, partition
+from cdil.splitters import ILCV, SLCV, bind_folds, partition
 from cdil.synth import DEFAULT_SESSION_LABELS, SynthSpec, generate_stream
 
 ORDERING_SEEDS = (101, 102, 103, 104, 105)
@@ -44,11 +44,12 @@ class RecordingLearner:
 
     def __init__(self, seq):
         self.rch = RCHState(seq.feature_dim)
-        self._answers = {s.features.tobytes(): (s.sample_id, s.label)
-                         for session in seq.sessions for s in session.samples}
+        self._answers = {row.tobytes(): (sid, label) for session in seq.sessions
+                         for row, sid, label in zip(session.features, session.sample_ids,
+                                                    session.labels.tolist())}
         self.evaluated_ids: list[set[str]] = []
 
-    def update(self, train, label_set):
+    def update(self, features, labels, sample_ids, label_set):
         self.rch.add_session(label_set)
 
     def predict_many(self, features):
@@ -67,10 +68,11 @@ class RecordingLearner:
 
 
 def session_with(n_subjects, per_subject, session_index=1):
-    samples = [Sample(sample_id=f"x{p}-{j}", subject_id=f"p{p}", label=0,
-                      features=np.zeros(1))
-               for p in range(n_subjects) for j in range(per_subject)]
-    return SessionDataset.build(session_index, samples)
+    n = n_subjects * per_subject
+    return SessionDataset.build(
+        session_index, np.zeros((n, 1)), np.zeros(n, dtype=int),
+        [f"x{p}-{j}" for p in range(n_subjects) for j in range(per_subject)],
+        [f"p{p}" for p in range(n_subjects) for _ in range(per_subject)])
 
 
 def random_rch_state(rng, max_dim=4, max_sessions=3, max_classes=5):
@@ -137,14 +139,15 @@ def test_criterion_02_protocol_shape():
         learner = RecordingLearner(seq)
         trials.append(run_trial(cfg, seq, assignments, tau,
                                 learner_factory=lambda tau: learner))
-        plan = bind_folds(assignments, tau)
+        masks = bind_folds(assignments, tau)
         assert len(learner.evaluated_ids) == seq.n
         for t, ids in enumerate(learner.evaluated_ids, start=1):
             expected = set()
-            for i in range(1, t + 1):
-                expected |= assignments[i - 1].fold_ids(tau)
+            for session, assignment, mask in zip(seq.sessions[:t], assignments, masks):
+                assert np.array_equal(mask, assignment.folds == tau)
+                expected |= {sid for sid, fold in zip(session.sample_ids,
+                                                      assignment.folds.tolist()) if fold == tau}
             assert ids == expected, f"trial {tau} session {t} evaluation set mismatch"
-            assert {sid for _, sid in cumulative_test_ids(plan, t)} == expected
         evaluations += len(learner.evaluated_ids)
     ok = len(trials) == k and evaluations == k * seq.n
     report_criterion(2, ok, f"{len(trials)} trials, {evaluations} session-evaluations "
@@ -161,34 +164,31 @@ def test_criterion_03_splitter_properties():
         per_subject = rng.randbelow(3) + 1
         seed = rng.next_u64()
         session = session_with(n_subjects, per_subject)
-        all_ids = {s.sample_id for s in session.samples}
         for mode in (SLCV, ILCV):
             assignment = partition(session, k, seed, mode)
-            # partition / coverage
-            assert set(assignment.fold_of) == all_ids
-            assert all(1 <= f <= k for f in assignment.fold_of.values())
+            folds = assignment.folds.tolist()
+            # partition / coverage: one fold in 1..k per row
+            assert len(folds) == session.size
+            assert all(1 <= f <= k for f in folds)
             # balance over the mode's units
             if mode == SLCV:
                 unit_fold = {}
-                for s in session.samples:
-                    fold = assignment.fold_of[s.sample_id]
-                    assert unit_fold.setdefault(s.subject_id, fold) == fold
+                for subject, fold in zip(session.subject_ids, folds):
+                    assert unit_fold.setdefault(subject, fold) == fold
                 counts = Counter(unit_fold.values())
             else:
-                counts = Counter(assignment.fold_of.values())
+                counts = Counter(folds)
             sizes = [counts.get(tau, 0) for tau in range(1, k + 1)]
             assert max(sizes) - min(sizes) <= 1
             # SLCV leakage freedom for every trial
             if mode == SLCV:
                 for tau in range(1, k + 1):
-                    split = bind_folds([assignment], tau).split(1)
-                    train_subj = {s.subject_id for s in session.samples
-                                  if s.sample_id in split.train_ids}
-                    test_subj = {s.subject_id for s in session.samples
-                                 if s.sample_id in split.test_ids}
+                    (test,) = bind_folds([assignment], tau)
+                    train_subj = {s for s, m in zip(session.subject_ids, ~test) if m}
+                    test_subj = {s for s, m in zip(session.subject_ids, test) if m}
                     assert not (train_subj & test_subj)
             # seed determinism
-            assert partition(session, k, seed, mode).fold_of == assignment.fold_of
+            assert np.array_equal(partition(session, k, seed, mode).folds, assignment.folds)
     elapsed = time.time() - start
     report_criterion(3, elapsed < 10.0,
                      f"{cases} randomized cases x 2 modes: coverage, balance <= 1, "
@@ -281,29 +281,24 @@ def test_criterion_07_forgetting_reproduction():
     for seed in FORGETTING_SEEDS:
         seq = generate_stream(SynthSpec(seed=seed, session_label_sets=DISJOINT_LABELS))
         assignments = partition_sequence(seq, 5, seed, SLCV)
-        plan = bind_folds(assignments, 1)
+        masks = bind_folds(assignments, 1)
 
         # pilot gate: nearest-class-mean oracle confirms session 1 is solvable
         session1 = seq.session(1)
-        train = [s for s in session1.samples if s.sample_id in plan.split(1).train_ids]
-        test = [s for s in session1.samples if s.sample_id in plan.split(1).test_ids]
-        means = {c: np.mean([s.features for s in train if s.label == c], axis=0)
-                 for c in {s.label for s in train}}
-        oracle = np.mean([min(means, key=lambda c: np.linalg.norm(s.features - means[c]))
-                          == s.label for s in test])
+        X_train, y_train = session1.features[~masks[0]], session1.labels[~masks[0]]
+        X_test, y_test = session1.features[masks[0]], session1.labels[masks[0]]
+        means = {c: X_train[y_train == c].mean(axis=0) for c in set(y_train.tolist())}
+        oracle = np.mean([min(means, key=lambda c: np.linalg.norm(x - means[c])) == y
+                          for x, y in zip(X_test, y_test.tolist())])
         assert oracle >= 0.9, f"seed {seed}: oracle {oracle:.3f} below solvability gate"
 
         def fold1_accuracy(learner):
-            X = np.stack([session1.by_id[i].features
-                          for i in sorted(plan.split(1).test_ids)])
-            y = np.array([session1.by_id[i].label
-                          for i in sorted(plan.split(1).test_ids)])
-            return float(np.mean(learner.predict_many(X) == y))
+            return float(np.mean(learner.predict_many(X_test) == y_test))
 
         learner = make_learner("finetune", seq.feature_dim, LearnerConfig(), seed, 1)
-        run_session(learner, seq, plan, 1)
+        run_session(learner, seq, masks, 1)
         after_1 = fold1_accuracy(learner)
-        run_session(learner, seq, plan, 2)
+        run_session(learner, seq, masks, 2)
         after_2 = fold1_accuracy(learner)
         drop = 100 * (after_1 - after_2)
         drops.append(drop)

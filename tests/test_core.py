@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from cdil.core import (ConfigurationError, LabelRegistry, Sample, SessionDataset,
-                       SessionSequence)
+from cdil.core import ConfigurationError, LabelRegistry, SessionDataset, SessionSequence
 from cdil.synth import DEFAULT_SESSION_LABELS, SynthSpec, generate_stream
 
 
-def make_sample(sid, subject, label, dim=3, value=0.0):
-    return Sample(sample_id=sid, subject_id=subject, label=label,
-                  features=np.full(dim, value))
+def make_session(rows, session_index=1, dim=3, label_set=None):
+    """A session from (sample_id, subject_id, label) rows with zero features."""
+    sample_ids, subject_ids, labels = zip(*rows) if rows else ((), (), ())
+    return SessionDataset.build(session_index, np.zeros((len(rows), dim)), labels,
+                                sample_ids, subject_ids, label_set=label_set)
 
 
 @pytest.fixture(scope="module")
@@ -41,38 +42,56 @@ class TestLabelRegistry:
 
 class TestSessionDataset:
     def test_subjects_derived_from_samples(self):
-        ds = SessionDataset.build(1, [make_sample("a", "s1", 0), make_sample("b", "s2", 0)])
+        ds = make_session([("a", "s1", 0), ("b", "s2", 0)])
         assert ds.subjects == {"s1", "s2"}
         assert ds.label_set == {0}
         assert ds.size == 2
 
+    def test_columns_are_read_only_and_ids_stay_python_strings(self):
+        ds = make_session([("a", "s1", 0), ("b", "s2", 1)])
+        assert ds.features.shape == (2, 3) and ds.features.dtype == np.float64
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1]
+        assert ds.sample_ids == ("a", "b") and ds.subject_ids == ("s1", "s2")
+        for column in (ds.features, ds.labels):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
     def test_declared_label_superset_allowed(self):
-        ds = SessionDataset.build(1, [make_sample("a", "s1", 0)], label_set={0, 1})
+        ds = make_session([("a", "s1", 0)], label_set={0, 1})
         assert ds.label_set == {0, 1}
 
     def test_sample_label_outside_declared_set_rejected(self):
         with pytest.raises(ConfigurationError):
-            SessionDataset.build(1, [make_sample("a", "s1", 2)], label_set={0, 1})
+            make_session([("a", "s1", 2)], label_set={0, 1})
 
     def test_duplicate_sample_id_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SessionDataset.build(1, [make_sample("a", "s1", 0), make_sample("a", "s2", 0)])
+        with pytest.raises(ConfigurationError, match="duplicate sample_id 'a'"):
+            make_session([("a", "s1", 0), ("a", "s2", 0)])
+
+    def test_ids_differing_only_in_a_trailing_nul_are_distinct(self):
+        # a fixed-width numpy string array would drop the NUL and merge the two
+        ds = make_session([("a", "s1", 0), ("a\x00", "s1", 0)])
+        assert ds.size == 2
+
+    def test_column_lengths_must_agree(self):
+        with pytest.raises(ConfigurationError, match="disagree in length"):
+            SessionDataset.build(1, np.zeros((2, 3)), [0], ["a", "b"], ["s", "s"])
 
     def test_empty_session_rejected(self):
         with pytest.raises(ConfigurationError):
-            SessionDataset.build(1, [])
+            make_session([])
 
 
 class TestSessionSequence:
     def test_session_indices_must_be_in_order(self):
         reg = LabelRegistry(["a"])
-        ds = SessionDataset.build(2, [make_sample("x", "s", 0)])
+        ds = make_session([("x", "s", 0)], session_index=2)
         with pytest.raises(ConfigurationError):
             SessionSequence.build([ds], reg, 3)
 
     def test_mixed_feature_dimension_rejected(self):
         reg = LabelRegistry(["a"])
-        ds = SessionDataset.build(1, [make_sample("x", "s", 0, dim=4)])
+        ds = make_session([("x", "s", 0)], dim=4)
         with pytest.raises(ValueError):
             SessionSequence.build([ds], reg, 3)
 

@@ -86,6 +86,22 @@ class TestLoadManifest:
         with pytest.raises(DataLoadError, match="duplicate session name"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("value", ["false", 0, None])
+    def test_shared_subjects_must_be_a_boolean(self, tmp_path, value):
+        write_feature_csv(tmp_path / "s.csv", 2, [["x", "p", "a", "1", "2"]])
+        path = tmp_path / "m.json"
+        write_manifest(path, [{"name": "s", "label_names": ["a"], "features_path": "s.csv"}],
+                       shared_subjects=value)
+        with pytest.raises(DataLoadError, match=r"m\.json: field 'shared_subjects'"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("value", [["x"], 3, None])
+    def test_session_name_must_be_a_string(self, tmp_path, value):
+        path = tmp_path / "m.json"
+        write_manifest(path, [{"name": value, "label_names": ["a"], "features_path": "s.csv"}])
+        with pytest.raises(DataLoadError, match=r"m\.json: field 'sessions\[1\]\.name'"):
+            load_manifest(path)
+
     def test_unreadable_feature_path_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         write_manifest(path, [{"name": "x", "label_names": ["a"],
@@ -178,8 +194,14 @@ class TestLoadSessionFeatures:
 
     def test_subject_namespacing_default_on(self, toy_dataset):
         seq = load_sequence(toy_dataset)
-        assert {s.subject_id for s in seq.session(1).samples} == {"s1:p1", "s1:p2"}
-        assert {s.subject_id for s in seq.session(2).samples} == {"s2:p1", "s2:p3"}
+        assert seq.session(1).subject_ids == ("s1:p1", "s1:p1", "s1:p2")
+        assert seq.session(2).subject_ids == ("s2:p1", "s2:p3")
+
+    def test_columns_hold_the_csv_rows(self, toy_dataset):
+        session = load_sequence(toy_dataset).session(1)
+        assert session.sample_ids == ("a1", "a2", "a3")
+        assert session.labels.tolist() == [0, 1, 0]
+        assert np.array_equal(session.features, [[0.5, 1.5], [-1.0, 2.0], [0.25, 0.125]])
 
 
 class TestStreamRoundTrip:
@@ -198,9 +220,10 @@ class TestStreamRoundTrip:
         for orig, back in zip(seq.sessions, loaded.sessions):
             assert back.label_set == orig.label_set
             assert back.subjects == orig.subjects
-            for a, b in zip(orig.samples, back.samples):
-                assert (a.sample_id, a.subject_id, a.label) == (b.sample_id, b.subject_id, b.label)
-                assert np.array_equal(a.features, b.features)
+            assert back.sample_ids == orig.sample_ids
+            assert back.subject_ids == orig.subject_ids
+            assert np.array_equal(back.labels, orig.labels)
+            assert np.array_equal(back.features, orig.features)
 
 
 class TestReports:
@@ -330,6 +353,43 @@ class TestCli:
         (tmp_path / "out" / "trials" / "trial_2.json").unlink()
         assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
         assert "expected trial files 1..3, found [1, 3]" in capsys.readouterr().err
+
+    def test_report_names_a_trial_file_missing_a_field(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        trial = tmp_path / "out" / "trials" / "trial_2.json"
+        data = json.loads(trial.read_text(encoding="utf-8"))
+        del data["correct"]
+        trial.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
+        assert "trial_2.json: field 'correct'" in capsys.readouterr().err
+
+    def test_report_names_an_unparsable_trial_file_and_line(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        trial = tmp_path / "out" / "trials" / "trial_3.json"
+        trial.write_text('{\n  "trial_index": 3,\n  "correct": [1, \n', encoding="utf-8")
+        assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
+        assert "trial_3.json: line 4: not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("learner", "learning_rate", "fast"),
+        ("learner", "batch_size", 2.5),
+        ("synthetic", "feature_dim", "64"),
+        (None, "k", "5"),
+        (None, "k", True),
+        (None, "seed", 1.5),
+    ])
+    def test_wrongly_typed_value_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                          section, key, value):
+        config = self.run_config(tmp_path)
+        data = json.loads(config.read_text(encoding="utf-8"))
+        target = {"learner": data["learner"], "synthetic": data["data"]["synthetic"],
+                  None: data}[section]
+        target[key] = value
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert f"{key} must be" in capsys.readouterr().err
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 2

@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from cdil.core import ConfigurationError, ProtocolError, Sample
+from cdil.core import ConfigurationError, ProtocolError
 from cdil.learners import (FinetuneLearner, LearnerConfig, PrototypeLearner,
                            class_statistics, finetune_loss_and_grads, make_learner,
                            ridge_solve)
 from cdil.rng import Xoshiro256StarStar, substream
 
 
-def as_samples(features, labels, subject="p0", prefix="s"):
-    return [Sample(sample_id=f"{prefix}{i}", subject_id=subject, label=int(y),
-                   features=np.asarray(x, dtype=float))
-            for i, (x, y) in enumerate(zip(features, labels))]
+def columns(features, labels, prefix="s"):
+    """A training split as `update` takes it: features, labels, sample ids."""
+    features = np.asarray(features, dtype=float)
+    return features, np.asarray(labels, dtype=np.int64), tuple(
+        f"{prefix}{i}" for i in range(len(features)))
 
 
 def perceptron_separable(features, labels, max_epochs=200):
@@ -34,12 +35,11 @@ def perceptron_separable(features, labels, max_epochs=200):
 
 
 def nearest_class_mean_accuracy(train, test):
-    means = {}
-    for c in {s.label for s in train}:
-        means[c] = np.mean([s.features for s in train if s.label == c], axis=0)
-    hits = sum(1 for s in test
-               if min(means, key=lambda c: np.linalg.norm(s.features - means[c])) == s.label)
-    return hits / len(test)
+    (X, y, _), (X_test, y_test, _) = train, test
+    means = {c: X[y == c].mean(axis=0) for c in set(y.tolist())}
+    hits = sum(1 for x, label in zip(X_test, y_test.tolist())
+               if min(means, key=lambda c: np.linalg.norm(x - means[c])) == label)
+    return hits / len(X_test)
 
 
 def gaussian_blobs(rng, means, per_class, sigma=1.0):
@@ -72,9 +72,19 @@ class TestLearnerConfig:
         {"head_init_std": math.nan},
         {"head_init_std": math.inf},
         {"head_init_std": 0.0},
+        {"learning_rate": "fast"},
+        {"ridge_lambda": True},
+        {"batch_size": 2.5},
+        {"batch_size": True},
+        {"epochs_first": 1.0},
+        {"epochs_later": "2"},
+        {"projection_dim": 8.0},
+        {"projection_seed": "7"},
+        {"feature_map": "false"},
+        {"bias_feature": 1},
     ])
     def test_invalid_rejected(self, kwargs):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
             LearnerConfig(**kwargs)
 
 
@@ -83,7 +93,7 @@ class TestFinetune:
         rng = substream(1, "lr0")
         learner = FinetuneLearner(3, LearnerConfig(learning_rate=0.0, epochs_first=3))
         X = rng.normals((8, 3))
-        learner.update(as_samples(X, [0, 1] * 4), {0, 1})
+        learner.update(*columns(X, [0, 1] * 4), {0, 1})
         assert np.array_equal(learner.rch.remap(), np.zeros((2, 3)))
         assert np.array_equal(learner.feature_map, np.eye(3))
 
@@ -93,8 +103,8 @@ class TestFinetune:
                               per_class=20, sigma=0.5)
         assert perceptron_separable(X, y)  # oracle gate before trusting the learner
         learner = FinetuneLearner(2, LearnerConfig(epochs_first=60))
-        train = as_samples(X, y)
-        learner.update(train, {0, 1})
+        train = columns(X, y)
+        learner.update(*train, {0, 1})
         preds = learner.predict_many(X)
         assert np.mean(preds == np.array(y)) == 1.0
 
@@ -102,23 +112,23 @@ class TestFinetune:
         # softmax over a single class is identically one: no gradient, no change
         learner = FinetuneLearner(2, LearnerConfig(epochs_first=5))
         X = np.array([[1.0, -1.0]])
-        learner.update(as_samples(X, [0]), {0})
+        learner.update(*columns(X, [0]), {0})
         assert np.array_equal(learner.rch.remap(), np.zeros((1, 2)))
         assert learner.predict(X[0]) == 0
 
     def test_empty_training_split_rejected(self):
         with pytest.raises(ProtocolError):
-            FinetuneLearner(2, LearnerConfig()).update([], {0})
+            FinetuneLearner(2, LearnerConfig()).update(*columns(np.zeros((0, 2)), []), {0})
 
     def test_earlier_head_groups_frozen(self):
         rng = substream(3, "frozen")
         cfg = LearnerConfig(epochs_first=5, epochs_later=5)
         learner = FinetuneLearner(2, cfg)
         X1 = rng.normals((12, 2))
-        learner.update(as_samples(X1, [0, 1] * 6, prefix="a"), {0, 1})
+        learner.update(*columns(X1, [0, 1] * 6, prefix="a"), {0, 1})
         session1 = learner.rch.session_rows(1)
         X2 = rng.normals((12, 2))
-        learner.update(as_samples(X2, [2, 3] * 6, prefix="b"), {2, 3})
+        learner.update(*columns(X2, [2, 3] * 6, prefix="b"), {2, 3})
         for c in (0, 1):
             assert np.array_equal(learner.rch.session_rows(1)[c], session1[c])
 
@@ -142,11 +152,11 @@ class TestFinetune:
         from cdil.core import NumericalError
         rng = substream(6, "diverge")
         X = rng.normals((8, 3)) * 10
-        train = as_samples(X, [0, 1] * 4)
+        train = columns(X, [0, 1] * 4)
         learner = FinetuneLearner(3, LearnerConfig(learning_rate=1e12, epochs_first=30))
         with np.errstate(all="ignore"):
             with pytest.raises(NumericalError, match="non-finite loss at session 1"):
-                learner.update(train, {0, 1})
+                learner.update(*train, {0, 1})
 
     def test_gaussian_head_init(self):
         rng = substream(7, "ginit")
@@ -154,7 +164,7 @@ class TestFinetune:
         cfg = LearnerConfig(learning_rate=0.0, epochs_first=1,
                             head_init="gaussian", head_init_std=0.01)
         learner = FinetuneLearner(4, cfg)
-        learner.update(as_samples(X, [0, 1] * 3), {0, 1})
+        learner.update(*columns(X, [0, 1] * 3), {0, 1})
         rows = learner.rch.remap()
         assert not np.array_equal(rows, np.zeros_like(rows))
         assert np.all(np.abs(rows) < 0.1)  # draws at std 0.01
@@ -169,9 +179,9 @@ class TestFinetune:
         y2 = [y + 2 for y in y2raw]
         test1, ytest1 = gaussian_blobs(rng, means1, per_class=15, sigma=0.6)
         learner = FinetuneLearner(8, LearnerConfig())
-        learner.update(as_samples(X1, y1, prefix="a"), {0, 1})
+        learner.update(*columns(X1, y1, prefix="a"), {0, 1})
         acc_after_1 = np.mean(learner.predict_many(test1) == np.array(ytest1))
-        learner.update(as_samples(X2, y2, prefix="b"), {2, 3})
+        learner.update(*columns(X2, y2, prefix="b"), {2, 3})
         acc_after_2 = np.mean(learner.predict_many(test1) == np.array(ytest1))
         assert acc_after_1 >= 0.9
         assert acc_after_2 < acc_after_1
@@ -294,12 +304,12 @@ class TestPrototype:
         means = [6.0 * d / np.linalg.norm(d) for d in dirs]  # >= 6 sigma apart from origin
         Xtr, ytr = gaussian_blobs(rng, means, per_class=100)
         Xte, yte = gaussian_blobs(rng, means, per_class=40)
-        train = as_samples(Xtr, ytr, prefix="tr")
-        test = as_samples(Xte, yte, prefix="te")
+        train = columns(Xtr, ytr, prefix="tr")
+        test = columns(Xte, yte, prefix="te")
         ncm = nearest_class_mean_accuracy(train, test)
         assert ncm >= 0.95  # oracle confirms the task is easy
         learner = PrototypeLearner(16, LearnerConfig(), experiment_seed=11)
-        learner.update(train, {0, 1, 2})
+        learner.update(*train, {0, 1, 2})
         accuracy = np.mean(learner.predict_many(Xte) == np.array(yte))
         assert accuracy >= 0.95
 
@@ -308,37 +318,38 @@ class TestPrototype:
         learner = PrototypeLearner(4, LearnerConfig(), experiment_seed=3)
         digest_before = hashlib.sha256(learner.projection.tobytes()).hexdigest()
         X1 = rng.normals((10, 4))
-        learner.update(as_samples(X1, [0, 1] * 5, prefix="a"), {0, 1})
+        learner.update(*columns(X1, [0, 1] * 5, prefix="a"), {0, 1})
         X2 = rng.normals((10, 4))
-        learner.update(as_samples(X2, [2, 3] * 5, prefix="b"), {2, 3})
+        learner.update(*columns(X2, [2, 3] * 5, prefix="b"), {2, 3})
         assert hashlib.sha256(learner.projection.tobytes()).hexdigest() == digest_before
 
     def test_order_insensitive_accumulation(self):
         rng = substream(13, "order")
         X = rng.normals((40, 6))
         y = [0, 1, 2, 3] * 10
-        forward = as_samples(X, y)
-        reversed_samples = list(reversed(forward))
+        forward = columns(X, y)
+        reversed_rows = tuple(column[::-1] for column in forward)
         a = PrototypeLearner(6, LearnerConfig(), experiment_seed=5)
         b = PrototypeLearner(6, LearnerConfig(), experiment_seed=5)
-        a.update(forward, {0, 1, 2, 3})
-        b.update(reversed_samples, {0, 1, 2, 3})
+        a.update(*forward, {0, 1, 2, 3})
+        b.update(*reversed_rows, {0, 1, 2, 3})
         assert np.allclose(a.rch.remap(), b.rch.remap(), atol=1e-12)
 
     def test_statistics_exactly_independent_of_sample_order(self):
         rng = substream(20, "canonical-order")
-        sessions = [as_samples(rng.normals((30, 5)), [0, 1, 2] * 10, prefix="a"),
-                    as_samples(rng.normals((30, 5)), [1, 2, 3] * 10, prefix="b")]
+        sessions = [columns(rng.normals((30, 5)), [0, 1, 2] * 10, prefix="a"),
+                    columns(rng.normals((30, 5)), [1, 2, 3] * 10, prefix="b")]
         for mode in ("per_session", "cumulative"):
             cfg = LearnerConfig(prototype_stats=mode)
             given = PrototypeLearner(5, cfg, experiment_seed=6)
             shuffled = PrototypeLearner(5, cfg, experiment_seed=6)
-            for samples in sessions:
-                label_set = {s.label for s in samples}
-                permuted = list(samples)
-                rng.shuffle(permuted)
-                given.update(samples, label_set)
-                shuffled.update(permuted, label_set)
+            for features, labels, ids in sessions:
+                label_set = set(labels.tolist())
+                order = list(range(len(ids)))
+                rng.shuffle(order)
+                given.update(features, labels, ids, label_set)
+                shuffled.update(features[order], labels[order],
+                                tuple(ids[i] for i in order), label_set)
                 assert np.array_equal(given.rch.remap(), shuffled.rch.remap())
                 assert np.array_equal(given.last_residual, shuffled.last_residual)
 
@@ -346,7 +357,7 @@ class TestPrototype:
         rng = substream(14, "lambda")
         X = rng.normals((20, 4))
         learner = PrototypeLearner(4, LearnerConfig(ridge_lambda=1e9), experiment_seed=2)
-        learner.update(as_samples(X, [0, 1] * 10), {0, 1})
+        learner.update(*columns(X, [0, 1] * 10), {0, 1})
         norm_c = max(np.linalg.norm(learner.transform(X[np.array(  # scale of the targets
             [i for i in range(20) if i % 2 == c])]).sum(axis=0)) for c in (0, 1))
         assert np.linalg.norm(learner.rch.remap()) <= 1e-6 * norm_c
@@ -355,7 +366,7 @@ class TestPrototype:
         rng = substream(15, "zero-class")
         X = rng.normals((10, 4))
         learner = PrototypeLearner(4, LearnerConfig(), experiment_seed=8)
-        learner.update(as_samples(X, [0] * 10), {0, 1})  # class 1 declared, no samples
+        learner.update(*columns(X, [0] * 10), {0, 1})  # class 1 declared, no samples
         assert np.array_equal(learner.rch.session_rows(1)[1], np.zeros(learner.head_dim))
 
     def test_deterministic_given_data_and_seeds(self):
@@ -365,7 +376,7 @@ class TestPrototype:
         preds = []
         for _ in range(2):
             learner = PrototypeLearner(5, LearnerConfig(), experiment_seed=21, trial_index=2)
-            learner.update(as_samples(X, y), {0, 1, 2})
+            learner.update(*columns(X, y), {0, 1, 2})
             preds.append(learner.predict_many(X))
         assert np.array_equal(preds[0], preds[1])
 
@@ -378,8 +389,8 @@ class TestPrototype:
         y2 = [1, 2, 3] * 10
         learner = PrototypeLearner(5, LearnerConfig(prototype_stats="cumulative"),
                                    experiment_seed=4)
-        learner.update(as_samples(X1, y1, prefix="a"), {0, 1, 2})
-        learner.update(as_samples(X2, y2, prefix="b"), {1, 2, 3})
+        learner.update(*columns(X1, y1, prefix="a"), {0, 1, 2})
+        learner.update(*columns(X2, y2, prefix="b"), {1, 2, 3})
         H = learner.transform(np.vstack([X1, X2]))
         yall = np.array(y1 + y2)
         G = H.T @ H
@@ -405,16 +416,16 @@ class TestSharedContract:
         points = rng.normals((5, 4))
         for variant in ("finetune", "prototype"):
             learner = make_learner(variant, 4, LearnerConfig(epochs_first=5))
-            learner.update(as_samples(X, [0] * 12), {0})
+            learner.update(*columns(X, [0] * 12), {0})
             assert all(learner.predict(p) == 0 for p in points)
 
     def test_known_classes_track_cumulative_space(self):
         rng = substream(19, "space")
         for variant in ("finetune", "prototype"):
             learner = make_learner(variant, 3, LearnerConfig(epochs_first=2, epochs_later=2))
-            learner.update(as_samples(rng.normals((6, 3)), [0, 1] * 3, prefix="a"), {0, 1})
+            learner.update(*columns(rng.normals((6, 3)), [0, 1] * 3, prefix="a"), {0, 1})
             assert learner.known_classes == {0, 1}
-            learner.update(as_samples(rng.normals((6, 3)), [1, 2] * 3, prefix="b"), {1, 2})
+            learner.update(*columns(rng.normals((6, 3)), [1, 2] * 3, prefix="b"), {1, 2})
             assert learner.known_classes == {0, 1, 2}
 
     def test_unknown_variant_rejected(self):

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from cdil.learners import Learner, LearnerConfig
 from cdil.pipeline import (ExperimentConfig, partition_sequence, run_experiment,
                            run_session, run_trial)
 from cdil.rng import substream
-from cdil.splitters import bind_folds, cumulative_test_ids
+from cdil.splitters import bind_folds
 from cdil.synth import SynthSpec, generate_stream
 
 
@@ -18,10 +19,10 @@ class OracleLearner(Learner):
     def __init__(self, seq):
         from cdil.rch import RCHState
         self.rch = RCHState(seq.feature_dim)
-        self._answers = {s.features.tobytes(): s.label
-                         for session in seq.sessions for s in session.samples}
+        self._answers = {row.tobytes(): label for session in seq.sessions
+                         for row, label in zip(session.features, session.labels.tolist())}
 
-    def update(self, train, label_set):
+    def update(self, features, labels, sample_ids, label_set):
         self.rch.add_session(label_set)
 
     def transform(self, features):
@@ -39,7 +40,7 @@ class RandomGuessLearner(Learner):
         self.rch = RCHState(feature_dim)
         self._rng = substream(seed, "guess")
 
-    def update(self, train, label_set):
+    def update(self, features, labels, sample_ids, label_set):
         self.rch.add_session(label_set)
 
     def transform(self, features):
@@ -76,10 +77,10 @@ class TestRunSession:
     def test_accuracy_is_correct_over_total(self, small_stream):
         seq = small_stream
         assignments = partition_sequence(seq, 5, 1, "ilcv")
-        plan = bind_folds(assignments, 1)
+        masks = bind_folds(assignments, 1)
         learner = OracleLearner(seq)
-        correct, total = run_session(learner, seq, plan, 1)
-        assert correct == total == len(plan.split(1).test_ids)
+        correct, total = run_session(learner, seq, masks, 1)
+        assert correct == total == masks[0].sum()
 
     def test_oracle_learner_scores_one_everywhere(self, small_stream):
         seq = small_stream
@@ -91,14 +92,23 @@ class TestRunSession:
     def test_evaluation_set_is_union_of_bound_folds(self, small_stream):
         seq = small_stream
         assignments = partition_sequence(seq, 5, 7, "ilcv")
-        plan = bind_folds(assignments, 2)
-        learner = OracleLearner(seq)
+        masks = bind_folds(assignments, 2)
+        evaluated = []
+
+        class RecordingOracle(OracleLearner):
+            def predict_many(self, features):
+                evaluated.append({row.tobytes() for row in features})
+                return super().predict_many(features)
+
+        learner = RecordingOracle(seq)
         totals = []
         for t in range(1, seq.n + 1):
-            _, total = run_session(learner, seq, plan, t)
+            _, total = run_session(learner, seq, masks, t)
             totals.append(total)
-            assert total == len(cumulative_test_ids(plan, t))
-            assert total == sum(len(plan.split(i).test_ids) for i in range(1, t + 1))
+            expected = {row.tobytes() for i in range(t)
+                        for row in seq.sessions[i].features[masks[i]]}
+            assert evaluated[-1] == expected
+            assert total == sum(masks[i].sum() for i in range(t))
         # monotone coverage
         assert all(a < b for a, b in zip(totals, totals[1:]))
 
@@ -107,14 +117,14 @@ class TestRunSession:
         # the binomial standard error
         seq = small_stream
         assignments = partition_sequence(seq, 5, 11, "ilcv")
-        plan = bind_folds(assignments, 1)
+        masks = bind_folds(assignments, 1)
         p = 1.0 / len(seq.cumulative_label_space(1))
-        n_eval = len(plan.split(1).test_ids)
+        n_eval = masks[0].sum()
         seeds = range(50)
         accs = []
         for seed in seeds:
             learner = RandomGuessLearner(seq.feature_dim, seed)
-            correct, total = run_session(learner, seq, plan, 1)
+            correct, total = run_session(learner, seq, masks, 1)
             assert total == n_eval
             accs.append(correct / total)
         se = math.sqrt(p * (1 - p) / (len(accs) * n_eval))
@@ -130,7 +140,7 @@ class TestRunTrial:
         result = run_trial(quick_config(), seq, assignments, 3,
                            learner_factory=lambda tau: OracleLearner(seq))
         assert result.n_sessions == 1
-        assert result.total[0] == len(assignments[0].fold_ids(3))
+        assert result.total[0] == np.sum(assignments[0].folds == 3)
 
     def test_trials_differ_only_in_bound_fold(self, small_stream):
         seq = small_stream
@@ -154,18 +164,19 @@ class TestRunTrial:
         # the learner must never see a sample outside the bound training split
         seq = small_stream
         assignments = partition_sequence(seq, 5, 6, "ilcv")
-        plan = bind_folds(assignments, 1)
-        seen: list[set] = []
+        masks = bind_folds(assignments, 1)
+        seen: list[tuple] = []
 
         class SpyLearner(OracleLearner):
-            def update(self, train, label_set):
-                seen.append({s.sample_id for s in train})
-                super().update(train, label_set)
+            def update(self, features, labels, sample_ids, label_set):
+                assert len(features) == len(labels) == len(sample_ids)
+                seen.append(sample_ids)
+                super().update(features, labels, sample_ids, label_set)
 
         run_trial(quick_config(), seq, assignments, 1,
                   learner_factory=lambda tau: SpyLearner(seq))
-        for t, ids in enumerate(seen, start=1):
-            assert ids == plan.split(t).train_ids
+        for session, mask, ids in zip(seq.sessions, masks, seen):
+            assert set(ids) == {sid for sid, m in zip(session.sample_ids, ~mask) if m}
 
 
 class TestRunExperiment:
@@ -211,7 +222,7 @@ class TestRunExperiment:
         seq = generate_stream(cfg_a.synth)
         slcv = partition_sequence(seq, 5, cfg_a.seed, "slcv")
         ilcv = partition_sequence(seq, 5, cfg_b.seed, "ilcv")
-        assert slcv[0].fold_of != ilcv[0].fold_of
+        assert not np.array_equal(slcv[0].folds, ilcv[0].folds)
 
     def test_session_evaluation_count_is_k_times_n(self, small_stream):
         seq = small_stream
@@ -242,10 +253,30 @@ class TestRunExperiment:
 
     def test_failure_aborts_whole_experiment(self):
         class ExplodingLearner(OracleLearner):
-            def update(self, train, label_set):
+            def update(self, features, labels, sample_ids, label_set):
                 raise RuntimeError("numerical blow-up")
 
         cfg = quick_config()
         seq = generate_stream(cfg.synth)
         with pytest.raises(RuntimeError, match="blow-up"):
             run_experiment(cfg, learner_factory=lambda tau: ExplodingLearner(seq))
+
+
+# report.json digests of the deterministic default-config runs, unchanged
+# since the dict-of-rows head and the per-sample session objects were replaced
+PINNED_REPORT_DIGESTS = {
+    ("finetune", "slcv"): "8ffadde54237d3a88873bd182166a4e8341d96adaf6b134d93d0cc5b9e5a3596",
+    ("finetune", "ilcv"): "10696d1e65d625ff574d4b87eaaca6ed92a08b3d2416bff5f95dff20b4576477",
+    ("prototype", "slcv"): "ed304dbcbc80c6af4a671a0ba1fe08f120fbe167ded359ede66a30ecd7ff4337",
+    ("prototype", "ilcv"): "2cb2d2ae7590078e4b2b43e2abe411760096c704114a6748f113f5dcf333c81c",
+}
+
+
+@pytest.mark.parametrize("learner,protocol", sorted(PINNED_REPORT_DIGESTS))
+def test_pinned_report_digest(tmp_path, learner, protocol):
+    cfg = ExperimentConfig(protocol=protocol, k=5, learner=learner, seed=11,
+                           synth=SynthSpec(samples_per_class_per_session=20, seed=11),
+                           out=tmp_path, deterministic=True)
+    run_experiment(cfg)
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+    assert digest == PINNED_REPORT_DIGESTS[(learner, protocol)]

@@ -5,32 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdil.core import ConfigurationError, Sample, SessionDataset
+from cdil.core import ConfigurationError, SessionDataset
 from cdil.rng import Xoshiro256StarStar
-from cdil.splitters import (ILCV, SLCV, bind_folds, cumulative_test_ids,
-                            ilcv_partition, partition, slcv_partition)
+from cdil.splitters import ILCV, SLCV, bind_folds, ilcv_partition, partition, slcv_partition
+
+
+def session_from_subjects(subjects, session_index=1):
+    """A one-class session with one row per entry of `subjects`."""
+    n = len(subjects)
+    return SessionDataset.build(session_index, np.zeros((n, 2)), np.zeros(n, dtype=int),
+                                [f"x{j}" for j in range(n)], subjects)
 
 
 def session_with(n_subjects, samples_per_subject=3, session_index=1):
-    samples = []
-    for p in range(n_subjects):
-        for j in range(samples_per_subject):
-            samples.append(Sample(sample_id=f"x{p}-{j}", subject_id=f"p{p}",
-                                  label=0, features=np.zeros(2)))
-    return SessionDataset.build(session_index, samples)
+    return session_from_subjects([f"p{p}" for p in range(n_subjects)
+                                  for _ in range(samples_per_subject)], session_index)
 
 
 def session_of_size(n_samples, session_index=1):
-    samples = [Sample(sample_id=f"x{j}", subject_id=f"p{j % 4}", label=0,
-                      features=np.zeros(2)) for j in range(n_samples)]
-    return SessionDataset.build(session_index, samples)
+    return session_from_subjects([f"p{j % 4}" for j in range(n_samples)], session_index)
 
 
 def subject_fold_counts(session, assignment):
     subject_fold = {}
-    for s in session.samples:
-        fold = assignment.fold_of[s.sample_id]
-        assert subject_fold.setdefault(s.subject_id, fold) == fold
+    for subject, fold in zip(session.subject_ids, assignment.folds.tolist()):
+        assert subject_fold.setdefault(subject, fold) == fold
     return Counter(subject_fold.values())
 
 
@@ -40,7 +39,8 @@ class TestSlcvPartition:
         assignment = slcv_partition(session, k=5, seed=3)
         counts = subject_fold_counts(session, assignment)
         assert sorted(counts.values()) == [2, 2, 2, 2, 2]
-        assert set(assignment.fold_of) == {s.sample_id for s in session.samples}
+        assert assignment.folds.shape == (session.size,)
+        assert not assignment.folds.flags.writeable
 
     def test_eleven_subjects_five_folds_counts(self):
         # brute-force count of the deal rule's fold sizes
@@ -58,7 +58,7 @@ class TestSlcvPartition:
         session = session_with(9)
         a = slcv_partition(session, k=4, seed=77)
         b = slcv_partition(session, k=4, seed=77)
-        assert a.fold_of == b.fold_of
+        assert np.array_equal(a.folds, b.folds)
 
     def test_fewer_subjects_than_folds_rejected(self):
         with pytest.raises(ConfigurationError, match="fewer subjects than folds"):
@@ -68,28 +68,37 @@ class TestSlcvPartition:
 class TestIlcvPartition:
     def test_hundred_samples_five_folds_of_twenty(self):
         assignment = ilcv_partition(session_of_size(100), k=5, seed=9)
-        counts = Counter(assignment.fold_of.values())
+        counts = Counter(assignment.folds.tolist())
         assert sorted(counts.values()) == [20] * 5
 
     def test_103_samples_five_folds(self):
         assignment = ilcv_partition(session_of_size(103), k=5, seed=9)
-        counts = Counter(assignment.fold_of.values())
+        counts = Counter(assignment.folds.tolist())
         assert sorted(counts.values(), reverse=True) == [21, 21, 21, 20, 20]
 
     def test_every_sample_in_exactly_one_fold(self):
         session = session_of_size(37)
         assignment = ilcv_partition(session, k=4, seed=2)
-        assert set(assignment.fold_of) == {s.sample_id for s in session.samples}
-        union = set()
-        for tau in range(1, 5):
-            fold = assignment.fold_ids(tau)
-            assert fold.isdisjoint(union)
-            union |= fold
-        assert union == set(assignment.fold_of)
+        assert assignment.folds.shape == (session.size,)
+        masks = [bind_folds([assignment], tau)[0] for tau in range(1, 5)]
+        assert (np.sum(masks, axis=0) == 1).all()
 
     def test_fewer_samples_than_folds_rejected(self):
         with pytest.raises(ConfigurationError):
             ilcv_partition(session_of_size(3), k=5, seed=0)
+
+
+@pytest.mark.parametrize("mode", [SLCV, ILCV])
+def test_fold_of_each_sample_does_not_depend_on_row_order(mode):
+    session = session_with(9, samples_per_subject=2)
+    order = list(range(session.size))
+    Xoshiro256StarStar(5).shuffle(order)
+    permuted = SessionDataset.build(1, session.features[order], session.labels[order],
+                                    [session.sample_ids[i] for i in order],
+                                    [session.subject_ids[i] for i in order])
+    folds = dict(zip(session.sample_ids, partition(session, 4, 8, mode).folds.tolist()))
+    again = dict(zip(permuted.sample_ids, partition(permuted, 4, 8, mode).folds.tolist()))
+    assert again == folds
 
 
 class TestBindFolds:
@@ -101,37 +110,34 @@ class TestBindFolds:
 
     def test_test_set_is_the_bound_fold(self):
         assignments, s1, s2 = self.make_assignments()
-        plan = bind_folds(assignments, trial_index=1)
-        assert plan.split(1).test_ids == assignments[0].fold_ids(1)
-        assert plan.split(2).test_ids == assignments[1].fold_ids(1)
-        # cumulative evaluation set at session 2 is the union of bound folds
-        cumulative = cumulative_test_ids(plan, 2)
-        expected = ({(1, sid) for sid in assignments[0].fold_ids(1)}
-                    | {(2, sid) for sid in assignments[1].fold_ids(1)})
-        assert cumulative == expected
+        masks = bind_folds(assignments, trial_index=1)
+        assert len(masks) == 2
+        for mask, assignment, session in zip(masks, assignments, (s1, s2)):
+            assert mask.dtype == bool and mask.shape == (session.size,)
+            assert np.array_equal(mask, assignment.folds == 1)
 
     def test_train_test_partition_session(self):
         assignments, s1, _ = self.make_assignments()
-        plan = bind_folds(assignments, trial_index=2)
-        split = plan.split(1)
-        all_ids = {s.sample_id for s in s1.samples}
-        assert split.train_ids | split.test_ids == all_ids
-        assert split.train_ids & split.test_ids == set()
+        test = bind_folds(assignments, trial_index=2)[0]
+        tested = {sid for sid, m in zip(s1.sample_ids, test) if m}
+        trained = {sid for sid, m in zip(s1.sample_ids, ~test) if m}
+        assert tested and trained
+        assert tested | trained == set(s1.sample_ids)
+        assert tested.isdisjoint(trained)
 
     def test_complementary_trials(self):
         assignments, *_ = self.make_assignments(k=2)
         p1 = bind_folds(assignments, 1)
         p2 = bind_folds(assignments, 2)
-        for t in (1, 2):
-            assert p1.split(t).test_ids == p2.split(t).train_ids
-            assert p1.split(t).test_ids.isdisjoint(p2.split(t).test_ids)
+        for t in (0, 1):
+            assert np.array_equal(p1[t], ~p2[t])
 
     def test_single_session_degenerates_to_kfold(self):
         session = session_with(10)
         assignment = slcv_partition(session, k=5, seed=4)
-        plan = bind_folds([assignment], 3)
-        assert plan.split(1).test_ids == assignment.fold_ids(3)
-        assert cumulative_test_ids(plan, 1) == {(1, sid) for sid in assignment.fold_ids(3)}
+        (mask,) = bind_folds([assignment], 3)
+        assert np.array_equal(mask, assignment.folds == 3)
+        assert subject_fold_counts(session, assignment)[3] == 2
 
     def test_mismatched_k_rejected(self):
         s1 = session_with(6, session_index=1)
@@ -146,11 +152,16 @@ class TestBindFolds:
             bind_folds([slcv_partition(s1, 2, 0), ilcv_partition(s2, 2, 0)], 1)
 
     def test_cumulative_sizes_add_up(self):
+        # over the k trials, each session's test rows add up to its size
+        assignments, s1, s2 = self.make_assignments(k=3)
+        sizes = np.sum([[m.sum() for m in bind_folds(assignments, tau)]
+                        for tau in (1, 2, 3)], axis=0)
+        assert sizes.tolist() == [s1.size, s2.size]
+
+    def test_trial_index_out_of_range(self):
         assignments, *_ = self.make_assignments()
-        plan = bind_folds(assignments, 1)
-        assert len(cumulative_test_ids(plan, 1)) == len(plan.split(1).test_ids)
-        assert len(cumulative_test_ids(plan, 2)) == (len(plan.split(1).test_ids)
-                                                     + len(plan.split(2).test_ids))
+        with pytest.raises(IndexError):
+            bind_folds(assignments, 3)
 
 
 @settings(max_examples=100, deadline=None)
@@ -167,26 +178,57 @@ def test_property_partition_balance_and_leakage(n_subjects, per_subject, k, seed
         if mode == ILCV and session.size < k:
             continue
         assignment = partition(session, k, seed, mode)
-        # partition: every sample exactly once, fold indices in range
-        assert set(assignment.fold_of) == {s.sample_id for s in session.samples}
-        assert all(1 <= f <= k for f in assignment.fold_of.values())
+        # partition: one fold per row, fold indices in range
+        assert assignment.folds.shape == (session.size,)
+        assert ((1 <= assignment.folds) & (assignment.folds <= k)).all()
         # balance over the mode's units
         if mode == SLCV:
             counts = subject_fold_counts(session, assignment)
         else:
-            counts = Counter(assignment.fold_of.values())
+            counts = Counter(assignment.folds.tolist())
         sizes = [counts.get(tau, 0) for tau in range(1, k + 1)]
         assert max(sizes) - min(sizes) <= 1
-        # leakage freedom for every trial
+        # leakage freedom for a random trial
         tau = rng.randbelow(k) + 1
-        plan = bind_folds([assignment], tau)
-        split = plan.split(1)
+        (test,) = bind_folds([assignment], tau)
         if mode == SLCV:
-            train_subjects = {s.subject_id for s in session.samples
-                              if s.sample_id in split.train_ids}
-            test_subjects = {s.subject_id for s in session.samples
-                             if s.sample_id in split.test_ids}
+            train_subjects = {s for s, m in zip(session.subject_ids, ~test) if m}
+            test_subjects = {s for s, m in zip(session.subject_ids, test) if m}
             assert train_subjects.isdisjoint(test_subjects)
         # determinism
         again = partition(session, k, seed, mode)
-        assert again.fold_of == assignment.fold_of
+        assert np.array_equal(again.folds, assignment.folds)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sessions=st.lists(st.lists(st.integers(1, 5), min_size=2, max_size=12),
+                         min_size=1, max_size=3),
+       k=st.integers(2, 6), seed=st.integers(0, 2**64 - 1), mode=st.sampled_from((SLCV, ILCV)))
+def test_property_bound_masks_partition_every_session(sessions, k, seed, mode):
+    # each inner list holds the sample count of each subject of one session
+    built = [session_from_subjects([f"p{p}" for p, n in enumerate(per_subject)
+                                    for _ in range(n)], t)
+             for t, per_subject in enumerate(sessions, start=1)]
+    units = [len(s.subjects) if mode == SLCV else s.size for s in built]
+    if min(units) < k:
+        with pytest.raises(ConfigurationError):
+            [partition(s, k, seed + s.session_index, mode) for s in built]
+        return
+    assignments = [partition(s, k, seed + s.session_index, mode) for s in built]
+    trials = [bind_folds(assignments, tau) for tau in range(1, k + 1)]
+    for t, session in enumerate(built):
+        masks = np.array([trial[t] for trial in trials])
+        assert masks.shape == (k, session.size)
+        # the k test masks cover every row of the session exactly once
+        assert (masks.sum(axis=0) == 1).all()
+        for test in masks:
+            tested = {s for s, m in zip(session.subject_ids, test) if m}
+            trained = {s for s, m in zip(session.subject_ids, ~test) if m}
+            # SLCV never splits a subject between training and test
+            assert mode == ILCV or tested.isdisjoint(trained)
+        # fold sizes, in the mode's units, differ by at most one
+        if mode == SLCV:
+            sizes = [len({s for s, m in zip(session.subject_ids, test) if m}) for test in masks]
+        else:
+            sizes = masks.sum(axis=1).tolist()
+        assert max(sizes) - min(sizes) <= 1

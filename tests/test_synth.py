@@ -31,11 +31,24 @@ class TestStructure:
         for session, labels in zip(default_stream.sessions, DEFAULT_SESSION_LABELS):
             realized = {default_stream.registry.name_of(c) for c in session.label_set}
             assert realized == set(labels)
-            assert {s.label for s in session.samples} == session.label_set
+            assert set(session.labels.tolist()) == session.label_set
 
     def test_too_few_subjects_for_classes_rejected(self):
         with pytest.raises(ConfigurationError):
             generate_stream(SynthSpec(subjects_per_session=3, seed=0))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"feature_dim": "64"},
+        {"feature_dim": 64.0},
+        {"samples_per_class_per_session": True},
+        {"subjects_per_session": 0},
+        {"seed": 1.5},
+        {"noise_sigma": "1"},
+        {"domain_shift": -1.0},
+    ])
+    def test_invalid_spec_field_named(self, kwargs):
+        with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
+            SynthSpec(**kwargs)
 
 
 class TestDeterminism:
@@ -43,16 +56,15 @@ class TestDeterminism:
         a = generate_stream(SynthSpec(seed=99))
         b = generate_stream(SynthSpec(seed=99))
         for sa, sb in zip(a.sessions, b.sessions):
-            assert [s.sample_id for s in sa.samples] == [s.sample_id for s in sb.samples]
-            assert [s.subject_id for s in sa.samples] == [s.subject_id for s in sb.samples]
-            assert all(np.array_equal(x.features, y.features)
-                       for x, y in zip(sa.samples, sb.samples))
+            assert sa.sample_ids == sb.sample_ids
+            assert sa.subject_ids == sb.subject_ids
+            assert np.array_equal(sa.labels, sb.labels)
+            assert np.array_equal(sa.features, sb.features)
 
     def test_different_seeds_differ(self):
         a = generate_stream(SynthSpec(seed=1))
         b = generate_stream(SynthSpec(seed=2))
-        assert not np.array_equal(a.sessions[0].samples[0].features,
-                                  b.sessions[0].samples[0].features)
+        assert not np.array_equal(a.sessions[0].features[0], b.sessions[0].features[0])
 
 
 class TestGeometry:
@@ -61,25 +73,23 @@ class TestGeometry:
                          samples_per_class_per_session=5, seed=3)
         seq = generate_stream(spec)
         for session in seq.sessions:
-            by_class = {}
-            for s in session.samples:
-                by_class.setdefault(s.label, []).append(s.features)
+            by_class = {c: session.features[session.labels == c] for c in session.label_set}
             for feats in by_class.values():
                 for f in feats[1:]:
                     assert np.array_equal(f, feats[0])
             # nearest-class-mean within the session is then perfect
             means = {c: feats[0] for c, feats in by_class.items()}
-            for s in session.samples:
-                best = min(means, key=lambda c: np.linalg.norm(s.features - means[c]))
-                assert best == s.label
+            for x, label in zip(session.features, session.labels.tolist()):
+                best = min(means, key=lambda c: np.linalg.norm(x - means[c]))
+                assert best == label
 
     def test_class_mean_norms(self):
         spec = SynthSpec(noise_sigma=0.0, subject_shift=0.0, domain_shift=0.0,
                          class_separation=4.0, samples_per_class_per_session=1,
                          subjects_per_session=7, seed=8)
         seq = generate_stream(spec)
-        for s in seq.sessions[0].samples:
-            assert np.linalg.norm(s.features) == pytest.approx(4.0)
+        for x in seq.sessions[0].features:
+            assert np.linalg.norm(x) == pytest.approx(4.0)
 
     def test_bayes_oracle_sanity(self):
         # a maximum-likelihood classifier knowing all means must clear 0.9;
@@ -88,15 +98,15 @@ class TestGeometry:
         twin = generate_stream(SynthSpec(seed=17, noise_sigma=0.0, subject_shift=0.0))
         means = {}
         for session in twin.sessions:
-            for s in session.samples:
-                means[(session.session_index, s.label)] = s.features
+            for x, label in zip(session.features, session.labels.tolist()):
+                means[(session.session_index, label)] = x
         correct = 0
         total = 0
         for session in seq.sessions:
             classes = sorted(session.label_set)
-            for s in session.samples:
+            for x, label in zip(session.features, session.labels.tolist()):
                 best = min(classes, key=lambda c: np.linalg.norm(
-                    s.features - means[(session.session_index, c)]))
+                    x - means[(session.session_index, c)]))
                 total += 1
-                correct += (best == s.label)
+                correct += (best == label)
         assert correct / total >= 0.9
