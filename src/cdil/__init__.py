@@ -7,7 +7,7 @@ from .learners import (FinetuneLearner, Learner, LearnerConfig, PrototypeLearner
 from .metrics import (ExperimentReport, TrialResult, aggregate, average_accuracy,
                       final_accuracy)
 from .pipeline import ExperimentConfig, run_experiment, run_session, run_trial
-from .rch import InitSpec, RCHState
+from .rch import RCHState
 from .splitters import FoldAssignment, bind_folds, ilcv_partition, slcv_partition
 from .synth import DEFAULT_SESSION_LABELS, SynthSpec, generate_stream
 
@@ -19,7 +19,7 @@ __all__ = [
     "FinetuneLearner", "Learner", "LearnerConfig", "PrototypeLearner", "make_learner",
     "ExperimentReport", "TrialResult", "aggregate", "average_accuracy", "final_accuracy",
     "ExperimentConfig", "run_experiment", "run_session", "run_trial",
-    "InitSpec", "RCHState",
+    "RCHState",
     "FoldAssignment", "bind_folds", "ilcv_partition", "slcv_partition",
     "DEFAULT_SESSION_LABELS", "SynthSpec", "generate_stream",
     "__version__",

@@ -31,8 +31,8 @@ from pathlib import Path
 from .core import DataLoadError
 from .learners import LearnerConfig
 from .pipeline import ExperimentConfig, build_sequence, partition_sequence, run_experiment
-from .interface import (format_report_table, read_json, reaggregate_trials, write_report,
-                        write_stream)
+from .interface import (format_report_table, json_object, read_json, reaggregate_trials,
+                        write_report, write_stream)
 from .synth import SynthSpec, generate_stream
 
 
@@ -50,15 +50,21 @@ def _learner_config_from(data: dict) -> tuple[str, LearnerConfig]:
 def config_from_file(path: str | Path, overrides: argparse.Namespace | None = None
                      ) -> ExperimentConfig:
     path = Path(path)
-    data = read_json(path)
-    variant, learner_cfg = _learner_config_from(data.get("learner", {}))
-    data_section = data.get("data", {})
+    data = json_object(read_json(path), path)
+    variant, learner_cfg = _learner_config_from(
+        json_object(data.get("learner", {}), path, "learner"))
+    data_section = json_object(data.get("data", {}), path, "data")
     synth = None
     manifest = None
     if "synthetic" in data_section:
-        synth = SynthSpec.from_dict(data_section["synthetic"])
+        synth = SynthSpec.from_dict(
+            json_object(data_section["synthetic"], path, "data.synthetic"))
     if "manifest" in data_section:
+        if not isinstance(data_section["manifest"], str):
+            raise DataLoadError("must be a path string", path=path, field="data.manifest")
         manifest = (path.parent / data_section["manifest"]).resolve()
+    if data.get("out") is not None and not isinstance(data["out"], str):
+        raise DataLoadError("must be a path string", path=path, field="out")
     cfg_kwargs = dict(
         protocol=data.get("protocol", "slcv"),
         k=data.get("k", 5),
@@ -96,7 +102,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec_data = read_json(Path(args.spec)) if args.spec else {}
+    spec_data = json_object(read_json(args.spec), args.spec) if args.spec else {}
     if args.seed is not None:
         spec_data["seed"] = args.seed
     spec = SynthSpec.from_dict(spec_data)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 from collections import Counter
 from dataclasses import dataclass
 from itertools import compress
@@ -80,14 +81,23 @@ def read_json(path: str | Path):
         raise DataLoadError(f"not valid JSON: {exc}", path=path, line=exc.lineno) from None
 
 
+def json_object(value, path: str | Path, field: str | None = None) -> dict:
+    """`value` if it is a JSON object, else a DataLoadError naming the file and field."""
+    if not isinstance(value, dict):
+        raise DataLoadError("must be a JSON object", path=path, field=field)
+    return value
+
+
 def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
-    data = read_json(path)
+    data = json_object(read_json(path), path)
     for key in ("name", "feature_dim", "sessions"):
         if key not in data:
             raise DataLoadError("missing required field", path=path, field=key)
+    if not isinstance(data["name"], str):
+        raise DataLoadError("must be a string", path=path, field="name")
     feature_dim = data["feature_dim"]
-    if not isinstance(feature_dim, int) or feature_dim < 1:
+    if not isinstance(feature_dim, int) or isinstance(feature_dim, bool) or feature_dim < 1:
         raise DataLoadError("must be a positive integer", path=path, field="feature_dim")
     if not isinstance(data["sessions"], list) or not data["sessions"]:
         raise DataLoadError("must be a non-empty list", path=path, field="sessions")
@@ -99,6 +109,7 @@ def load_manifest(path: str | Path) -> Manifest:
     seen_names: set[str] = set()
     for i, raw in enumerate(data["sessions"], start=1):
         where = f"sessions[{i}]"
+        json_object(raw, path, where)
         for key in ("name", "label_names", "features_path"):
             if key not in raw:
                 raise DataLoadError("missing required field", path=path,
@@ -111,8 +122,9 @@ def load_manifest(path: str | Path) -> Manifest:
                                 field=f"{where}.name")
         seen_names.add(name)
         label_names = raw["label_names"]
-        if not isinstance(label_names, list) or not label_names:
-            raise DataLoadError("must be a non-empty list", path=path,
+        if (not isinstance(label_names, list) or not label_names
+                or not all(isinstance(n, str) for n in label_names)):
+            raise DataLoadError("must be a non-empty list of strings", path=path,
                                 field=f"{where}.label_names")
         if len(set(label_names)) != len(label_names):
             raise DataLoadError("repeats a label name", path=path,
@@ -121,6 +133,11 @@ def load_manifest(path: str | Path) -> Manifest:
         if not isinstance(min_count, int) or isinstance(min_count, bool) or min_count < 0:
             raise DataLoadError("must be a non-negative integer", path=path,
                                 field=f"{where}.min_samples_per_class")
+        year = raw.get("year")
+        if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
+            raise DataLoadError("must be an integer", path=path, field=f"{where}.year")
+        if not isinstance(raw["features_path"], str):
+            raise DataLoadError("must be a string", path=path, field=f"{where}.features_path")
         features_path = (path.parent / raw["features_path"]).resolve()
         if not features_path.is_file():
             raise DataLoadError(f"feature file {features_path} is not readable",
@@ -129,7 +146,7 @@ def load_manifest(path: str | Path) -> Manifest:
             name=name,
             label_names=tuple(label_names),
             features_path=features_path,
-            year=raw.get("year"),
+            year=year,
             min_samples_per_class=min_count,
         ))
     return Manifest(name=data["name"], feature_dim=feature_dim,
@@ -282,22 +299,38 @@ def format_report_table(report: ExperimentReport) -> str:
     return header_line + "\n" + value_line + "\n"
 
 
+def _replace_file(path: Path, text: str) -> None:
+    """Write `text` to a temporary file beside `path`, then rename it into place,
+    so `path` never holds a partial write."""
+    temporary = path.with_name(f".{path.name}.tmp")
+    try:
+        temporary.write_text(text, encoding="utf-8")
+        os.replace(temporary, path)
+    finally:
+        temporary.unlink(missing_ok=True)
+
+
+def _json_text(record: dict) -> str:
+    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+
+
 def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
-    """Emit report.json, report.txt, and per-trial JSONs; returns the JSON path."""
+    """Emit per-trial JSONs, report.txt and report.json; returns the JSON path.
+
+    Every file is written whole or not at all. A stale report.json is removed
+    first and the new one is written last, so a run cut short leaves no
+    report.json, and `cdil report` refuses its directory.
+    """
     out_dir = Path(out_dir)
     trials_dir = out_dir / "trials"
     trials_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
-    with open(report_path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out_dir / "report.txt", "w", encoding="utf-8") as fh:
-        fh.write(format_report_table(report))
+    report_path.unlink(missing_ok=True)
     for trial in report.trials:
-        with open(trials_dir / f"trial_{trial.trial_index}.json", "w",
-                  encoding="utf-8") as fh:
-            json.dump(trial.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _replace_file(trials_dir / f"trial_{trial.trial_index}.json",
+                      _json_text(trial.to_dict()))
+    _replace_file(out_dir / "report.txt", format_report_table(report))
+    _replace_file(report_path, _json_text(report.to_dict()))
     return report_path
 
 

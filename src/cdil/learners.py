@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import ConfigurationError, NumericalError, ProtocolError, check_int, check_real
-from .rch import InitSpec, RCHState, softmax_rows
+from .rch import RCHState, softmax_rows
 from .rng import derive_seed, substream
 
 FINETUNE = "finetune"
@@ -106,12 +106,6 @@ class Learner(ABC):
     def known_classes(self) -> frozenset[int]:
         return self.rch.known_classes
 
-    def predict(self, x: np.ndarray) -> int:
-        return self.rch.predict(self.transform(np.atleast_2d(x))[0])
-
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        return self.rch.predict_proba(self.transform(np.atleast_2d(x))[0])
-
     def predict_many(self, features: np.ndarray) -> np.ndarray:
         return self.rch.predict_many(self.transform(features))
 
@@ -178,18 +172,19 @@ class FinetuneLearner(Learner):
         if not len(features):
             raise ProtocolError("empty training split: a bound fold consumed the whole session")
         t = self.rch.n_sessions + 1
-        init = InitSpec(self.cfg.head_init, self.cfg.head_init_std)
-        init_rng = substream(self._seed, "finetune", self._trial, t, "head-init")
-        self.rch.add_session(label_set, init=init, rng=init_rng)
+        rows = None
+        if self.cfg.head_init == "gaussian":
+            rng = substream(self._seed, "finetune", self._trial, t, "head-init")
+            rows = rng.normals((len(label_set), self.rch.feature_dim)) * self.cfg.head_init_std
+        self.rch.add_session(label_set, rows)
 
         features = np.asarray(features, dtype=np.float64)
         if features.shape[1] != self.feature_dim:
             raise ValueError(f"training features have dimension {features.shape[1]}, "
                              f"expected {self.feature_dim}")
         order = self.rch.class_order
-        position = {c: i for i, c in enumerate(order)}
-        labels_pos = np.array([position[y] for y in labels.tolist()])
-        session_pos = np.array([position[c] for c in sorted(label_set)])
+        labels_pos = np.searchsorted(order, labels)
+        session_pos = np.searchsorted(order, sorted(label_set))
 
         epochs = self.cfg.epochs_first if t == 1 else self.cfg.epochs_later
         shuffle_rng = substream(self._seed, "finetune", self._trial, t, "shuffle")
@@ -278,8 +273,6 @@ class PrototypeLearner(Learner):
             raise ProtocolError("empty training split: a bound fold consumed the whole session")
         classes = sorted(label_set)
         cumulative = self.cfg.prototype_stats == "cumulative"
-        previous_rows = (dict(zip(self.rch.class_order, self.rch.remap()))
-                         if cumulative and self.rch.n_sessions else {})
         t = self.rch.add_session(label_set)
 
         # The ids are unique within a session, so this order depends only
@@ -299,10 +292,13 @@ class PrototypeLearner(Learner):
         targets = np.stack([sums.get(c, absent) for c in classes], axis=1)
         solution, self.last_residual = ridge_solve(
             gram, targets, self.cfg.ridge_lambda, return_residual=True)
-        # In cumulative mode, set rows so the remapped (summed) row equals the
-        # global ridge solution for every class present in this session.
-        self.rch.set_rows(t, {c: solution[:, i] - previous_rows.get(c, 0.0)
-                              for i, c in enumerate(classes)})
+        rows = solution.T
+        if cumulative:
+            # Session t's rows are still zero, so remap() sums the earlier
+            # sessions; subtracting it makes every class's summed row equal
+            # the global ridge solution.
+            rows = rows - self.rch.remap()[np.searchsorted(self.rch.class_order, classes)]
+        self.rch.set_rows(t, rows)
 
 
 def make_learner(variant: str, feature_dim: int, cfg: LearnerConfig | None = None,

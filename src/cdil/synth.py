@@ -17,6 +17,7 @@ exact class+session(+subject) means.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -60,9 +61,10 @@ class SynthSpec:
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed)
         for name in ("class_separation", "domain_shift", "subject_shift", "noise_sigma"):
-            check_real(name, getattr(self, name))
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
+            value = getattr(self, name)
+            check_real(name, value)
+            if not (math.isfinite(value) and value >= 0):
+                raise ConfigurationError(f"{name} must be finite and >= 0")
 
     def to_dict(self) -> dict[str, Any]:
         return {

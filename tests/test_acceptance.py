@@ -84,8 +84,8 @@ def random_rch_state(rng, max_dim=4, max_sessions=3, max_classes=5):
         classes = set()
         while len(classes) < size:
             classes.add(rng.randbelow(n_classes))
-        state.set_rows(state.add_session(classes),
-                       {c: np.array([rng.normal() for _ in range(dim)]) for c in classes})
+        state.add_session(classes, np.array([[rng.normal() for _ in range(dim)]
+                                             for _ in sorted(classes)]))
     return state, dim
 
 
@@ -208,7 +208,7 @@ def test_criterion_04_rch_oracle_equivalence():
             for c, row in state.session_rows(t).items():
                 logits[c] = logits.get(c, 0.0) + float(x @ row)
         best = max(sorted(logits), key=lambda c: (logits[c], -c))
-        assert state.predict(x) == best
+        assert state.predict_many(x[None])[0] == best
         matrix = state.remap()
         for pos, c in enumerate(state.class_order):
             remapped = float(x @ matrix[pos])

@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdil.cli import main as cli_main
-from cdil.core import DataLoadError
+from cdil.core import DataLoadError, ProtocolError
 from cdil.interface import (format_report_table, load_manifest, load_report,
                             load_sequence, reaggregate_trials, write_report,
                             write_stream)
@@ -102,12 +105,71 @@ class TestLoadManifest:
         with pytest.raises(DataLoadError, match=r"m\.json: field 'sessions\[1\]\.name'"):
             load_manifest(path)
 
+    @pytest.mark.parametrize("field,edit", [
+        ("sessions[1]", lambda m: m.update(sessions=[3])),
+        ("sessions[1].features_path", lambda m: m["sessions"][0].update(features_path=3)),
+        ("sessions[1].year", lambda m: m["sessions"][0].update(year="nineteen")),
+        ("sessions[1].label_names", lambda m: m["sessions"][0].update(label_names=[1, 2])),
+        ("name", lambda m: m.update(name=["x"])),
+        ("feature_dim", lambda m: m.update(feature_dim=True)),
+    ])
+    def test_wrongly_typed_field_named(self, toy_dataset, field, edit):
+        manifest = json.loads(toy_dataset.read_text(encoding="utf-8"))
+        edit(manifest)
+        toy_dataset.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(DataLoadError) as raised:
+            load_sequence(toy_dataset)
+        assert str(raised.value).startswith(f"{toy_dataset}: field '{field}': must be")
+
     def test_unreadable_feature_path_rejected(self, tmp_path):
         path = tmp_path / "m.json"
         write_manifest(path, [{"name": "x", "label_names": ["a"],
                                "features_path": "missing.csv"}])
         with pytest.raises(DataLoadError, match="features_path"):
             load_manifest(path)
+
+
+def json_kind(value):
+    return type(value).__name__  # bool, int, float, str, list, dict or NoneType
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+
+
+@pytest.fixture(scope="module")
+def written_stream(tmp_path_factory):
+    seq = generate_stream(SynthSpec(session_label_sets=(("a", "b"), ("b", "c")),
+                                    feature_dim=3, samples_per_class_per_session=3,
+                                    subjects_per_session=3, seed=8))
+    return write_stream(seq, tmp_path_factory.mktemp("fuzz") / "stream")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_manifest_loads_or_names_the_manifest(written_stream, data):
+    """A manifest from `write_stream`, with the optional session fields added, in
+    which one top-level field, one session entry or one session field holds a
+    value of another JSON type: loading succeeds or raises DataLoadError
+    naming the manifest, and nothing else."""
+    manifest = json.loads(written_stream.read_text(encoding="utf-8"))
+    for entry in manifest["sessions"]:
+        entry.update(year=2014, min_samples_per_class=0)
+    targets = [(manifest, key) for key in manifest]
+    targets += [(manifest["sessions"], i) for i in range(len(manifest["sessions"]))]
+    targets += [(entry, key) for entry in manifest["sessions"] for key in entry]
+    owner, key = data.draw(st.sampled_from(targets))
+    original = json_kind(owner[key])
+    owner[key] = data.draw(JSON_VALUES.filter(lambda v: json_kind(v) != original))
+    path = written_stream.with_name("fuzzed.json")
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    try:
+        load_sequence(path)
+    except DataLoadError as exc:
+        assert str(exc).startswith(f"{path}: ")
 
 
 class TestLoadSessionFeatures:
@@ -255,6 +317,29 @@ class TestReports:
         assert again.mean_final == report.mean_final
         assert again.trials == report.trials
 
+    def test_failed_write_leaves_no_report_json(self, tmp_path, monkeypatch):
+        # the third rename (after trials 1 and 2) fails, as if the run were cut
+        # short; a report.json from an earlier run must not survive either
+        report = self.make_report()
+        write_report(report, tmp_path / "run")
+        renames = []
+        real_replace = os.replace
+
+        def failing_replace(src, dst):
+            renames.append(dst)
+            if len(renames) == 3:
+                raise OSError("disk full")
+            return real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            write_report(report, tmp_path / "run")
+        assert [p.name for p in renames] == ["trial_1.json", "trial_2.json", "trial_3.json"]
+        assert not (tmp_path / "run" / "report.json").exists()
+        assert not list((tmp_path / "run").rglob("*.tmp"))
+        with pytest.raises(ProtocolError, match="report.json not found"):
+            reaggregate_trials(tmp_path / "run")
+
 
 class TestCli:
     def run_config(self, tmp_path, **extra):
@@ -390,6 +475,33 @@ class TestCli:
         config.write_text(json.dumps(data), encoding="utf-8")
         assert cli_main(["run", "--config", str(config)]) == 2
         assert f"{key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value,field", [
+        (None, [1], None),
+        ("learner", "prototype", "learner"),
+        ("data", "x", "data"),
+        ("data", {"synthetic": [1]}, "data.synthetic"),
+        ("data", {"manifest": 3}, "data.manifest"),
+        ("out", 3, "out"),
+    ])
+    def test_wrongly_shaped_config_exits_2_naming_file_and_field(self, tmp_path, capsys,
+                                                                 key, value, field):
+        config = self.run_config(tmp_path)
+        data = json.loads(config.read_text(encoding="utf-8"))
+        if key is None:
+            data = value
+        else:
+            data[key] = value
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config)]) == 2
+        where = f"{config}: field '{field}'" if field else str(config)
+        assert f"error: {where}: must be" in capsys.readouterr().err
+
+    def test_synth_spec_must_be_an_object(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text("[1]", encoding="utf-8")
+        assert cli_main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
+        assert f"error: {spec_path}: must be a JSON object" in capsys.readouterr().err
 
     def test_bad_config_reports_error(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 2

@@ -8,6 +8,7 @@ from cdil.core import ConfigurationError, ProtocolError
 from cdil.learners import (FinetuneLearner, LearnerConfig, PrototypeLearner,
                            class_statistics, finetune_loss_and_grads, make_learner,
                            ridge_solve)
+from cdil.rch import softmax_rows
 from cdil.rng import Xoshiro256StarStar, substream
 
 
@@ -114,7 +115,7 @@ class TestFinetune:
         X = np.array([[1.0, -1.0]])
         learner.update(*columns(X, [0]), {0})
         assert np.array_equal(learner.rch.remap(), np.zeros((1, 2)))
-        assert learner.predict(X[0]) == 0
+        assert learner.predict_many(X).tolist() == [0]
 
     def test_empty_training_split_rejected(self):
         with pytest.raises(ProtocolError):
@@ -168,6 +169,20 @@ class TestFinetune:
         rows = learner.rch.remap()
         assert not np.array_equal(rows, np.zeros_like(rows))
         assert np.all(np.abs(rows) < 0.1)  # draws at std 0.01
+
+    def test_gaussian_head_init_draw_is_pinned(self):
+        # each session's block is one (n_t, d) draw from its own substream,
+        # in sorted class order; no epochs, so the rows stay as drawn
+        rng = substream(8, "ginit-pin")
+        cfg = LearnerConfig(epochs_first=0, epochs_later=0, head_init="gaussian",
+                            head_init_std=0.03, bias_feature=True)
+        learner = FinetuneLearner(5, cfg, experiment_seed=13, trial_index=2)
+        for label_set in ({4, 0, 2}, {2, 7}):
+            learner.update(*columns(rng.normals((4, 5)), sorted(label_set) * 2), label_set)
+        for t, n_t in ((1, 3), (2, 2)):
+            expected = substream(13, "finetune", 2, t, "head-init").normals((n_t, 6)) * 0.03
+            assert np.array_equal(np.array(list(learner.rch.session_rows(t).values())),
+                                  expected)
 
     def test_forgetting_on_disjoint_sessions(self):
         # direction only: session-1 accuracy drops after training on session 2
@@ -227,23 +242,21 @@ class TestFinetuneGradients:
         rng = Xoshiro256StarStar(42)
         d = 4
         learner = FinetuneLearner(d, LearnerConfig(feature_map=False, epochs_first=1))
-        learner.rch.add_session({0, 1})
-        learner.rch.set_rows(1, {0: rng.normals(d), 1: rng.normals(d)})
-        learner.rch.add_session({1, 2})
-        learner.rch.set_rows(2, {1: rng.normals(d), 2: rng.normals(d)})
+        learner.rch.add_session({0, 1}, rng.normals((2, d)))
+        learner.rch.add_session({1, 2}, rng.normals((2, d)))
         X = rng.normals((6, d))
         y = np.array([rng.randbelow(3) for _ in range(6)])
         _, d_remap, _ = finetune_loss_and_grads(X, y, learner.rch.remap())
         h = 1e-6
-        row = learner.rch.session_rows(2)[1]
+        rows = np.array(list(learner.rch.session_rows(2).values()))  # classes 1, 2
         for i in range(d):
-            bump = np.zeros(d)
-            bump[i] = h
-            learner.rch.set_rows(2, {1: row + bump})
+            bump = np.zeros_like(rows)
+            bump[0, i] = h
+            learner.rch.set_rows(2, rows + bump)
             up, _, _ = finetune_loss_and_grads(X, y, learner.rch.remap())
-            learner.rch.set_rows(2, {1: row - bump})
+            learner.rch.set_rows(2, rows - bump)
             down, _, _ = finetune_loss_and_grads(X, y, learner.rch.remap())
-            learner.rch.set_rows(2, {1: row})
+            learner.rch.set_rows(2, rows)
             numeric = (up - down) / (2 * h)
             assert numeric == pytest.approx(d_remap[1, i], rel=1e-3, abs=1e-7)
 
@@ -407,7 +420,7 @@ class TestSharedContract:
         for variant in ("finetune", "prototype"):
             learner = make_learner(variant, 4)
             learner.rch.add_session({0, 1, 2})
-            probs = learner.predict_proba(np.ones(4))
+            probs = softmax_rows(learner.transform(np.ones((1, 4))) @ learner.rch.remap().T)
             assert np.allclose(probs, 1.0 / 3)
 
     def test_both_variants_predict_the_single_trained_class(self):
@@ -417,7 +430,7 @@ class TestSharedContract:
         for variant in ("finetune", "prototype"):
             learner = make_learner(variant, 4, LearnerConfig(epochs_first=5))
             learner.update(*columns(X, [0] * 12), {0})
-            assert all(learner.predict(p) == 0 for p in points)
+            assert learner.predict_many(points).tolist() == [0] * 5
 
     def test_known_classes_track_cumulative_space(self):
         rng = substream(19, "space")

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from cdil.core import ConfigurationError, LabelRegistry
-from cdil.rch import InitSpec, RCHState
+from cdil.core import ConfigurationError
+from cdil.rch import RCHState, softmax_rows
 from cdil.rng import Xoshiro256StarStar, substream
 
 
@@ -14,6 +14,15 @@ def softmax_oracle(logits):
     exps = [math.exp(z - m) for z in logits]
     total = sum(exps)
     return [e / total for e in exps]
+
+
+def probabilities(state, x):
+    """Softmax of the remapped logits, as the finetune loss computes it."""
+    return softmax_rows(x[None] @ state.remap().T)[0]
+
+
+def predict(state, x):
+    return state.predict_many(x[None])[0]
 
 
 def random_state(rng, max_dim=4, max_sessions=3, max_classes=5):
@@ -26,9 +35,8 @@ def random_state(rng, max_dim=4, max_sessions=3, max_classes=5):
         classes = set()
         while len(classes) < size:
             classes.add(rng.randbelow(n_classes))
-        state.set_rows(state.add_session(classes),
-                       {c: np.array([rng.normal() for _ in range(dim)])
-                        for c in classes})
+        state.add_session(classes, np.array([[rng.normal() for _ in range(dim)]
+                                             for _ in sorted(classes)]))
     return state, dim
 
 
@@ -55,7 +63,8 @@ class TestAddSession:
         state.add_session({1, 2, 4, 5, 6})  # 3 overlaps, 2 novel
         assert state.n_sessions == 2
         assert state.known_classes == {0, 1, 2, 3, 4, 5, 6}
-        sessions = state.class_sessions
+        sessions = {c: tuple(t for t in (1, 2) if c in state.session_rows(t))
+                    for c in state.known_classes}
         for c in (1, 2, 4):
             assert sessions[c] == (1, 2)
         for c in (0, 3):
@@ -66,15 +75,14 @@ class TestAddSession:
     def test_zero_rows_for_known_classes_leave_argmax_unchanged(self):
         rng = substream(1, "zero-extension")
         state = RCHState(3)
-        state.add_session({0, 1, 2})
-        state.set_rows(1, {c: rng.normals(3) for c in (0, 1, 2)})
-        points = [rng.normals(3) for _ in range(20)]
-        before = [state.predict(x) for x in points]
-        probs_before = [state.predict_proba(x) for x in points]
+        state.add_session({0, 1, 2}, rng.normals((3, 3)))
+        points = rng.normals((20, 3))
+        before = state.predict_many(points)
+        probs_before = [probabilities(state, x) for x in points]
         state.add_session({0, 1, 2})  # zero-initialized rows for known classes
-        after = [state.predict(x) for x in points]
-        probs_after = [state.predict_proba(x) for x in points]
-        assert before == after
+        after = state.predict_many(points)
+        probs_after = [probabilities(state, x) for x in points]
+        assert np.array_equal(before, after)
         for p, q in zip(probs_before, probs_after):
             # same class set, zero rows added: bitwise-equal outputs
             assert np.array_equal(p, q)
@@ -83,17 +91,26 @@ class TestAddSession:
         with pytest.raises(ConfigurationError):
             RCHState(3).add_session(set())
 
-    def test_gaussian_init_needs_rng(self):
+    def test_initial_block_stored_in_class_order(self):
+        state = RCHState(2)
+        rows = np.array([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        state.add_session({9, 1, 4}, rows)
+        assert state.class_order == (1, 4, 9)
+        assert np.array_equal(state.remap(), rows)
+
+    def test_initial_block_shape_checked(self):
         state = RCHState(3)
-        with pytest.raises(ConfigurationError):
-            state.add_session({0}, init=InitSpec("gaussian"))
+        for shape in ((1, 3), (2, 2), (3,), (2, 3, 1)):
+            with pytest.raises(ValueError, match="session 1"):
+                state.add_session({0, 1}, np.zeros(shape))
+        assert state.n_sessions == 0
 
 
 class TestRemap:
     def test_single_session_rows_verbatim(self):
         state = RCHState(2)
         state.add_session({0, 1})
-        rows = {0: np.array([1.0, 2.0]), 1: np.array([-3.0, 0.5])}
+        rows = np.array([[1.0, 2.0], [-3.0, 0.5]])
         state.set_rows(1, rows)
         matrix = state.remap()
         assert state.class_order == (0, 1)
@@ -103,9 +120,9 @@ class TestRemap:
     def test_shared_class_rows_sum(self):
         state = RCHState(2)
         state.add_session({0, 1})
-        state.set_rows(1, {0: np.array([1.0, 0.0]), 1: np.array([5.0, 5.0])})
+        state.set_rows(1, np.array([[1.0, 0.0], [5.0, 5.0]]))
         state.add_session({0})
-        state.set_rows(2, {0: np.array([0.0, 2.0])})
+        state.set_rows(2, np.array([[0.0, 2.0]]))
         matrix = state.remap()
         assert np.array_equal(matrix[0], np.array([1.0, 2.0]))
         # class present in session 1 only keeps its row unchanged
@@ -114,15 +131,17 @@ class TestRemap:
     def test_rows_ordered_by_class_index(self):
         state = RCHState(1)
         state.add_session({7, 2, 5})
-        state.set_rows(1, {7: np.array([7.0]), 2: np.array([2.0]), 5: np.array([5.0])})
+        state.set_rows(1, np.array([[2.0], [5.0], [7.0]]))
         assert state.class_order == (2, 5, 7)
+        assert {c: row.tolist() for c, row in state.session_rows(1).items()} == {
+            2: [2.0], 5: [5.0], 7: [7.0]}
         assert state.remap()[:, 0].tolist() == [2.0, 5.0, 7.0]
 
     def test_cache_invalidated_on_write(self):
         state = RCHState(2)
         state.add_session({0})
         first = state.remap().copy()
-        state.set_rows(1, {0: np.array([1.0, 1.0])})
+        state.set_rows(1, np.array([[1.0, 1.0]]))
         assert not np.array_equal(state.remap(), first)
 
     def test_remap_linearity_randomized(self):
@@ -142,9 +161,9 @@ class TestRemap:
         for _ in range(200):
             state, dim = random_state(rng, max_dim=6, max_sessions=5, max_classes=6)
             for t in range(1, state.n_sessions + 1):
-                rows = state.session_rows(t)
-                state.set_rows(t, {c: row * 10.0 ** np.array(
-                    [rng.randbelow(17) - 8 for _ in row]) for c, row in rows.items()})
+                rows = state.session_rows(t).values()
+                state.set_rows(t, np.array([row * 10.0 ** np.array(
+                    [rng.randbelow(17) - 8 for _ in row]) for row in rows]))
             position = {c: i for i, c in enumerate(state.class_order)}
             expected = np.zeros((len(position), dim))
             for t in range(1, state.n_sessions + 1):
@@ -161,32 +180,34 @@ class TestRemap:
     def test_writes_validated(self):
         state = RCHState(2)
         state.add_session({0, 1})
-        with pytest.raises(KeyError):
-            state.set_rows(1, {2: np.zeros(2)})
-        with pytest.raises(ValueError):
-            state.set_rows(1, {0: np.zeros(3)})
-        with pytest.raises(ValueError):
-            state.add_to_rows(1, np.zeros((1, 2)))
-        with pytest.raises(IndexError):
-            state.add_to_rows(2, np.zeros((2, 2)))
+        for write in (state.set_rows, state.add_to_rows):
+            for shape in ((1, 2), (2, 3), (3, 2), (2,), (4,)):
+                with pytest.raises(ValueError, match="session 1"):
+                    write(1, np.ones(shape))
+            with pytest.raises(IndexError):
+                write(2, np.zeros((2, 2)))
+        assert state.remap().tolist() == [[0.0, 0.0], [0.0, 0.0]]
         state.add_to_rows(1, np.array([[1.0, 2.0], [3.0, 4.0]]))
         assert state.remap().tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
 
 class TestPredictProba:
+    """Class probabilities: `softmax_rows` of the remapped logits, which is what
+    the finetune loss trains on."""
+
     def test_all_zero_heads_uniform(self):
         state = RCHState(5)
         state.add_session({0, 1, 2})
-        probs = state.predict_proba(np.ones(5))
+        probs = probabilities(state, np.ones(5))
         assert np.allclose(probs, 1.0 / 3)
 
     def test_two_class_scalar_value(self):
         # logits (3, 0): p0 = e^3 / (e^3 + 1)
         state = RCHState(2)
         state.add_session({0, 1})
-        state.set_rows(1, {0: np.array([1.0, 2.0]), 1: np.array([0.0, 0.0])})
+        state.set_rows(1, np.array([[1.0, 2.0], [0.0, 0.0]]))
         x = np.array([1.0, 1.0])
-        probs = state.predict_proba(x)
+        probs = probabilities(state, x)
         oracle = softmax_oracle([3.0, 0.0])
         assert probs[0] == pytest.approx(0.95257, abs=5e-6)
         assert probs[1] == pytest.approx(0.04743, abs=5e-6)
@@ -196,27 +217,28 @@ class TestPredictProba:
         rng = Xoshiro256StarStar(5)
         for _ in range(50):
             state, dim = random_state(rng)
-            probs = state.predict_proba(np.array([rng.normal() for _ in range(dim)]))
+            probs = probabilities(state, np.array([rng.normal() for _ in range(dim)]))
             assert abs(float(np.sum(probs)) - 1.0) <= 1e-9
             assert np.all(probs >= 0)
 
     def test_logit_shift_invariance(self):
         state = RCHState(2)
         state.add_session({0, 1})
-        state.set_rows(1, {0: np.array([1.0, 2.0]), 1: np.array([-1.0, 0.5])})
+        rows = np.array([[1.0, 2.0], [-1.0, 0.5]])
+        state.set_rows(1, rows)
         x = np.array([0.3, -0.7])
-        base = state.predict_proba(x)
+        base = probabilities(state, x)
         # add a vector v with known x^T v to every row: constant logit shift
         v = np.array([2.0, 2.0])
-        state.set_rows(1, {0: np.array([1.0, 2.0]) + v, 1: np.array([-1.0, 0.5]) + v})
-        shifted = state.predict_proba(x)
+        state.set_rows(1, rows + v)
+        shifted = probabilities(state, x)
         assert np.allclose(base, shifted, atol=1e-12)
 
     def test_extreme_logits_stay_finite(self):
         state = RCHState(1)
         state.add_session({0, 1})
-        state.set_rows(1, {0: np.array([700.0]), 1: np.array([-700.0])})
-        probs = state.predict_proba(np.array([1.0]))
+        state.set_rows(1, np.array([[700.0], [-700.0]]))
+        probs = probabilities(state, np.array([1.0]))
         assert np.all(np.isfinite(probs))
         assert probs[0] == pytest.approx(1.0)
 
@@ -224,21 +246,21 @@ class TestPredictProba:
         state = RCHState(3)
         state.add_session({0})
         with pytest.raises(ValueError):
-            state.predict_proba(np.ones(4))
+            state.predict_many(np.ones((1, 4)))
 
 
 class TestPredict:
     def test_argmax_of_logits(self):
         state = RCHState(2)
         state.add_session({0, 1})
-        state.set_rows(1, {0: np.array([1.0, 2.0]), 1: np.array([0.0, 0.0])})
-        assert state.predict(np.array([1.0, 1.0])) == 0
+        state.set_rows(1, np.array([[1.0, 2.0], [0.0, 0.0]]))
+        assert predict(state, np.array([1.0, 1.0])) == 0
 
     def test_tie_breaks_to_lowest_class_index(self):
         state = RCHState(1)
         state.add_session({1, 2, 5})
-        state.set_rows(1, {1: np.array([0.0]), 2: np.array([3.0]), 5: np.array([3.0])})
-        assert state.predict(np.array([1.0])) == 2
+        state.set_rows(1, np.array([[0.0], [3.0], [3.0]]))
+        assert predict(state, np.array([1.0])) == 2
 
     def test_matches_per_session_summation_oracle(self):
         # brute force: sum x.H_t^c per class across sessions, never remapping
@@ -248,26 +270,5 @@ class TestPredict:
             x = np.array([rng.normal() for _ in range(dim)])
             logits = per_session_logits(state, x)
             best = max(sorted(logits), key=lambda c: (logits[c], -c))
-            assert state.predict(x) == best
+            assert predict(state, x) == best
 
-    def test_predict_many_agrees_with_predict(self):
-        rng = Xoshiro256StarStar(12)
-        state, dim = random_state(rng)
-        X = np.array([[rng.normal() for _ in range(dim)] for _ in range(16)])
-        assert state.predict_many(X).tolist() == [state.predict(x) for x in X]
-
-
-class TestSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        rng = substream(9, "serialize")
-        registry = LabelRegistry(["calm", "tense", "alert"])
-        state = RCHState(3)
-        state.add_session({0, 1})
-        state.set_rows(1, {0: rng.normals(3), 1: rng.normals(3)})
-        state.add_session({1, 2})
-        state.set_rows(2, {1: rng.normals(3), 2: rng.normals(3)})
-        path = tmp_path / "heads.csv"
-        state.to_csv(path, registry)
-        loaded = RCHState.from_csv(path, 3, registry)
-        assert loaded.known_classes == state.known_classes
-        assert np.array_equal(loaded.remap(), state.remap())

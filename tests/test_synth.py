@@ -45,6 +45,10 @@ class TestStructure:
         {"seed": 1.5},
         {"noise_sigma": "1"},
         {"domain_shift": -1.0},
+        {"noise_sigma": float("nan")},
+        {"class_separation": float("inf")},
+        {"domain_shift": float("-inf")},
+        {"subject_shift": float("nan")},
     ])
     def test_invalid_spec_field_named(self, kwargs):
         with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
