@@ -1,7 +1,7 @@
 """Command-line surface: run, synth, split, report.
 
-`run` reads a JSON config file; flags override individual fields. The config
-mirrors ExperimentConfig:
+`run` reads a JSON config file; flags override individual fields. Every key but
+`data` is optional, with the defaults of ExperimentConfig, LearnerConfig and SynthSpec:
 
     {
       "protocol": "slcv",
@@ -13,10 +13,12 @@ mirrors ExperimentConfig:
       "deterministic": false
     }
 
-`data` holds either `"synthetic"` (a SynthSpec object) or `"manifest"` (a
-path, resolved relative to the config file). Every run is sequential and
-bit-reproducible; `--deterministic` is accepted and only recorded in the
-report's config echo.
+`learner` holds `variant` and any LearnerConfig field. `data` holds either
+`"synthetic"` (SynthSpec fields) or `"manifest"` (a path, resolved relative to
+the config file). An unknown key at any level exits 2 naming the file, field
+and key; a wrongly typed value, a non-boolean `deterministic` included, exits 2
+naming the field. Every run is sequential and bit-reproducible;
+`--deterministic` only sets the echoed flag.
 """
 
 from __future__ import annotations
@@ -25,75 +27,45 @@ import argparse
 import csv
 import logging
 import sys
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from .core import DataLoadError
-from .learners import LearnerConfig
+from .learners import VARIANTS, LearnerConfig
 from .pipeline import ExperimentConfig, build_sequence, partition_sequence, run_experiment
-from .interface import (format_report_table, json_object, read_json, reaggregate_trials,
+from .interface import (format_report_table, json_object, known, read_json, reaggregate_trials,
                         write_report, write_stream)
+from .splitters import MODES
 from .synth import SynthSpec, generate_stream
 
-
-def _learner_config_from(data: dict) -> tuple[str, LearnerConfig]:
-    data = dict(data)
-    variant = data.pop("variant", "finetune")
-    allowed = {f.name for f in dataclass_fields(LearnerConfig)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise DataLoadError(f"unknown learner option(s): {sorted(unknown)}",
-                            field="learner")
-    return variant, LearnerConfig(**data)
+CONFIG_KEYS = ("protocol", "k", "seed", "learner", "data", "out", "deterministic")
 
 
-def config_from_file(path: str | Path, overrides: argparse.Namespace | None = None
-                     ) -> ExperimentConfig:
+def config_from_file(path: str | Path, **overrides) -> ExperimentConfig:
+    """The ExperimentConfig a JSON config file describes; each keyword override
+    that is not None replaces the field of that name."""
     path = Path(path)
-    data = json_object(read_json(path), path)
-    variant, learner_cfg = _learner_config_from(
-        json_object(data.get("learner", {}), path, "learner"))
-    data_section = json_object(data.get("data", {}), path, "data")
-    synth = None
-    manifest = None
-    if "synthetic" in data_section:
-        synth = SynthSpec.from_dict(
-            json_object(data_section["synthetic"], path, "data.synthetic"))
-    if "manifest" in data_section:
-        if not isinstance(data_section["manifest"], str):
+    top = dict(known(read_json(path), CONFIG_KEYS, path))
+    learner = dict(json_object(top.pop("learner", {}), path, "learner"))
+    if "variant" in learner:
+        top["learner"] = learner.pop("variant")
+    source = known(top.pop("data", {}), ("synthetic", "manifest"), path, "data")
+    if "synthetic" in source:
+        top["synth"] = SynthSpec(**known(source["synthetic"], SynthSpec, path, "data.synthetic"))
+    if "manifest" in source:
+        if not isinstance(source["manifest"], str):
             raise DataLoadError("must be a path string", path=path, field="data.manifest")
-        manifest = (path.parent / data_section["manifest"]).resolve()
-    if data.get("out") is not None and not isinstance(data["out"], str):
+        top["manifest"] = (path.parent / source["manifest"]).resolve()
+    if top.get("out") is not None and not isinstance(top["out"], str):
         raise DataLoadError("must be a path string", path=path, field="out")
-    cfg_kwargs = dict(
-        protocol=data.get("protocol", "slcv"),
-        k=data.get("k", 5),
-        learner=variant,
-        learner_config=learner_cfg,
-        seed=data.get("seed", 0),
-        synth=synth,
-        manifest=manifest,
-        out=data.get("out"),
-        deterministic=data.get("deterministic", False),
-    )
-    if overrides is not None:
-        if getattr(overrides, "protocol", None):
-            cfg_kwargs["protocol"] = overrides.protocol
-        if getattr(overrides, "k", None) is not None:
-            cfg_kwargs["k"] = overrides.k
-        if getattr(overrides, "learner", None):
-            cfg_kwargs["learner"] = overrides.learner
-        if getattr(overrides, "seed", None) is not None:
-            cfg_kwargs["seed"] = overrides.seed
-        if getattr(overrides, "out", None):
-            cfg_kwargs["out"] = overrides.out
-        if getattr(overrides, "deterministic", False):
-            cfg_kwargs["deterministic"] = True
-    return ExperimentConfig(**cfg_kwargs)
+    top.update((name, value) for name, value in overrides.items() if value is not None)
+    return ExperimentConfig(
+        learner_config=LearnerConfig(**known(learner, LearnerConfig, path, "learner")), **top)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = config_from_file(args.config, overrides=args)
+    cfg = config_from_file(args.config, protocol=args.protocol, k=args.k, learner=args.learner,
+                           seed=args.seed, out=args.out,
+                           deterministic=args.deterministic or None)
     report = run_experiment(cfg)
     sys.stderr.write(format_report_table(report))
     if cfg.out is not None:
@@ -102,11 +74,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec_data = json_object(read_json(args.spec), args.spec) if args.spec else {}
+    spec = dict(known(read_json(args.spec), SynthSpec, args.spec)) if args.spec else {}
     if args.seed is not None:
-        spec_data["seed"] = args.seed
-    spec = SynthSpec.from_dict(spec_data)
-    seq = generate_stream(spec)
+        spec["seed"] = args.seed
+    seq = generate_stream(SynthSpec(**spec))
     manifest_path = write_stream(seq, args.out)
     sys.stderr.write(
         f"wrote {seq.n} sessions, {sum(s.size for s in seq.sessions)} samples "
@@ -115,7 +86,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_split(args: argparse.Namespace) -> int:
-    cfg = config_from_file(args.config, overrides=args)
+    cfg = config_from_file(args.config, protocol=args.protocol, k=args.k, seed=args.seed)
     seq = build_sequence(cfg)
     assignments = partition_sequence(seq, cfg.k, cfg.seed, cfg.protocol)
     out_path = Path(args.out)
@@ -148,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a full experiment from a config file")
     run.add_argument("--config", required=True)
-    run.add_argument("--protocol", choices=["slcv", "ilcv"])
+    run.add_argument("--protocol", choices=MODES)
     run.add_argument("--k", type=int)
-    run.add_argument("--learner", choices=["finetune", "prototype"])
+    run.add_argument("--learner", choices=VARIANTS)
     run.add_argument("--seed", type=int)
     run.add_argument("--deterministic", action="store_true")
     run.add_argument("--out")
@@ -164,7 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     split = sub.add_parser("split", help="emit fold assignments as CSV")
     split.add_argument("--config", required=True)
-    split.add_argument("--protocol", choices=["slcv", "ilcv"])
+    split.add_argument("--protocol", choices=MODES)
     split.add_argument("--k", type=int)
     split.add_argument("--seed", type=int)
     split.add_argument("--out", required=True)

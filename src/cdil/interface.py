@@ -29,7 +29,7 @@ import json
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import compress
 from pathlib import Path
 
@@ -86,6 +86,17 @@ def json_object(value, path: str | Path, field: str | None = None) -> dict:
     if not isinstance(value, dict):
         raise DataLoadError("must be a JSON object", path=path, field=field)
     return value
+
+
+def known(data, allowed, path: str | Path, field: str | None = None) -> dict:
+    """`data` if it is a JSON object whose keys all name a field of the dataclass
+    `allowed` (or, for a tuple, one of its names), else a DataLoadError naming
+    the file, the field and the unknown keys."""
+    names = allowed if isinstance(allowed, tuple) else [f.name for f in fields(allowed)]
+    unknown = sorted(set(json_object(data, path, field)) - set(names))
+    if unknown:
+        raise DataLoadError(f"unknown key(s) {unknown}", path=path, field=field)
+    return data
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -168,40 +179,55 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
     declared = set(entry.label_names)
     ids: list[tuple[str, str, str]] = []  # (sample id, subject id, label name) per row
     rows: list[list[float]] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise DataLoadError("empty feature file", path=path, line=1)
-        if header != expected_header:
-            if len(header) != len(expected_header):
-                raise DataLoadError(
-                    f"header has {len(header)} columns, expected {len(expected_header)} "
-                    f"for feature_dim {feature_dim}", path=path, line=1, field="header")
-            raise DataLoadError("header does not match the documented format",
-                                path=path, line=1, field="header")
-        seen_ids: set[str] = set()
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(expected_header):
-                raise DataLoadError(f"expected {len(expected_header)} columns, got {len(row)}",
-                                    path=path, line=line_no)
-            sample_id, subject_id, label_name = row[0], row[1], row[2]
-            if sample_id in seen_ids:
-                raise DataLoadError(f"duplicate sample_id {sample_id!r}",
-                                    path=path, line=line_no, field="sample_id")
-            seen_ids.add(sample_id)
-            if label_name not in declared:
-                raise DataLoadError(
-                    f"label {label_name!r} is not declared for session {entry.name!r}",
-                    path=path, line=line_no, field="label")
-            try:
-                rows.append([float(v) for v in row[3:]])
-            except ValueError:
-                raise DataLoadError("non-numeric feature value",
-                                    path=path, line=line_no, field="features") from None
-            if not shared_subjects:
-                subject_id = f"s{session_index}:{subject_id}"
-            ids.append((sample_id, subject_id, label_name))
+    line_no = 1  # the first line of the record being read
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise DataLoadError("empty feature file", path=path, line=1)
+            if header != expected_header:
+                if len(header) != len(expected_header):
+                    raise DataLoadError(
+                        f"header has {len(header)} columns, expected {len(expected_header)} "
+                        f"for feature_dim {feature_dim}", path=path, line=1, field="header")
+                raise DataLoadError("header does not match the documented format",
+                                    path=path, line=1, field="header")
+            seen_ids: set[str] = set()
+            line_no = reader.line_num + 1
+            for row in reader:
+                if len(row) != len(expected_header):
+                    raise DataLoadError(
+                        f"expected {len(expected_header)} columns, got {len(row)}",
+                        path=path, line=line_no)
+                sample_id, subject_id, label_name = row[0], row[1], row[2]
+                if sample_id in seen_ids:
+                    raise DataLoadError(f"duplicate sample_id {sample_id!r}",
+                                        path=path, line=line_no, field="sample_id")
+                seen_ids.add(sample_id)
+                if label_name not in declared:
+                    raise DataLoadError(
+                        f"label {label_name!r} is not declared for session {entry.name!r}",
+                        path=path, line=line_no, field="label")
+                try:
+                    rows.append([float(v) for v in row[3:]])
+                except ValueError:
+                    raise DataLoadError("non-numeric feature value",
+                                        path=path, line=line_no, field="features") from None
+                if not shared_subjects:
+                    subject_id = f"s{session_index}:{subject_id}"
+                ids.append((sample_id, subject_id, label_name))
+                line_no = reader.line_num + 1
+    except csv.Error as exc:
+        raise DataLoadError(f"malformed CSV record: {exc}", path=path, line=line_no) from None
+    except UnicodeDecodeError as exc:
+        raw = path.read_bytes()  # exc.start counts from the decoder's chunk, not the file
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        raise DataLoadError(f"not valid UTF-8: {exc.reason}", path=path,
+                            line=raw.count(b"\n", 0, exc.start) + 1) from None
 
     if not rows:
         raise DataLoadError("feature file has no data rows", path=path, line=2)

@@ -13,7 +13,7 @@ and deterministic.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import compress
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -52,40 +52,25 @@ class ExperimentConfig:
         if self.learner not in VARIANTS:
             raise ConfigurationError(
                 f"unknown learner {self.learner!r}; expected one of {VARIANTS}")
+        if not isinstance(self.deterministic, bool):
+            raise ConfigurationError(
+                f"deterministic must be true or false, got {self.deterministic!r}")
         if (self.synth is None) == (self.manifest is None):
             raise ConfigurationError("exactly one of synth spec or manifest path is required")
 
     def echo(self, feature_dim: int) -> dict[str, Any]:
         """Full configuration echo for reports (derived defaults resolved)."""
         learner_cfg = config_with_defaults(self.learner_config, feature_dim, self.seed)
-        data: dict[str, Any] = ({"synthetic": self.synth.to_dict()} if self.synth is not None
-                                else {"manifest": str(self.manifest)})
+        data = ({"synthetic": asdict(self.synth)} if self.synth is not None
+                else {"manifest": str(self.manifest)})
         return {
             "protocol": self.protocol,
             "k": self.k,
             "seed": self.seed,
-            "learner": {"variant": self.learner, **_learner_config_dict(learner_cfg)},
+            "learner": {"variant": self.learner, **asdict(learner_cfg)},
             "data": data,
             "deterministic": self.deterministic,
         }
-
-
-def _learner_config_dict(cfg: LearnerConfig) -> dict[str, Any]:
-    return {
-        "learning_rate": cfg.learning_rate,
-        "batch_size": cfg.batch_size,
-        "epochs_first": cfg.epochs_first,
-        "epochs_later": cfg.epochs_later,
-        "ridge_lambda": cfg.ridge_lambda,
-        "projection_dim": cfg.projection_dim,
-        "projection_seed": cfg.projection_seed,
-        "nonlinearity": cfg.nonlinearity,
-        "feature_map": cfg.feature_map,
-        "head_init": cfg.head_init,
-        "head_init_std": cfg.head_init_std,
-        "bias_feature": cfg.bias_feature,
-        "prototype_stats": cfg.prototype_stats,
-    }
 
 
 def split_seed(experiment_seed: int, mode: str, session_index: int) -> int:

@@ -18,8 +18,7 @@ exact class+session(+subject) means.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
-from typing import Any
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,6 +47,14 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        label_sets = self.session_label_sets
+        if not (isinstance(label_sets, (list, tuple)) and all(
+                isinstance(labels, (list, tuple)) and all(isinstance(n, str) for n in labels)
+                for labels in label_sets)):
+            raise ConfigurationError(
+                f"session_label_sets must be a list of lists of strings, got {label_sets!r}")
+        object.__setattr__(self, "session_label_sets",
+                           tuple(tuple(labels) for labels in label_sets))
         if not self.session_label_sets:
             raise ConfigurationError("need at least one session label set")
         if len(self.session_label_sets[0]) < 2:
@@ -65,30 +72,6 @@ class SynthSpec:
             check_real(name, value)
             if not (math.isfinite(value) and value >= 0):
                 raise ConfigurationError(f"{name} must be finite and >= 0")
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "session_label_sets": [list(labels) for labels in self.session_label_sets],
-            "feature_dim": self.feature_dim,
-            "samples_per_class_per_session": self.samples_per_class_per_session,
-            "subjects_per_session": self.subjects_per_session,
-            "class_separation": self.class_separation,
-            "domain_shift": self.domain_shift,
-            "subject_shift": self.subject_shift,
-            "noise_sigma": self.noise_sigma,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "SynthSpec":
-        kwargs = dict(data)
-        unknown = sorted(set(kwargs) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ConfigurationError(f"unknown synthetic spec field(s) {unknown}")
-        if "session_label_sets" in kwargs:
-            kwargs["session_label_sets"] = tuple(
-                tuple(labels) for labels in kwargs["session_label_sets"])
-        return cls(**kwargs)
 
 
 def _direction(rng, dim: int, norm: float) -> np.ndarray:

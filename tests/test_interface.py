@@ -1,17 +1,21 @@
 import csv
 import json
 import os
+import shutil
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdil.cli import main as cli_main
+from cdil.cli import CONFIG_KEYS, config_from_file, main as cli_main
 from cdil.core import DataLoadError, ProtocolError
 from cdil.interface import (format_report_table, load_manifest, load_report,
                             load_sequence, reaggregate_trials, write_report,
                             write_stream)
+from cdil.learners import LearnerConfig
 from cdil.metrics import TrialResult, aggregate
 from cdil.synth import SynthSpec, generate_stream
 
@@ -172,6 +176,93 @@ def test_fuzzed_manifest_loads_or_names_the_manifest(written_stream, data):
         assert str(exc).startswith(f"{path}: ")
 
 
+MUTATIONS = ("truncate", "extend", "insert", "blank", "replace", "drop", "duplicate")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_feature_csv_loads_or_names_the_csv(written_stream, data):
+    """A feature CSV from `write_stream` with one line (the header or a row)
+    truncated or extended; a `"`, a NUL or a non-UTF-8 byte inserted; blanked;
+    or one column renamed, replaced with text or `nan`, dropped or duplicated:
+    loading succeeds or raises DataLoadError naming the CSV, and nothing else."""
+    manifest = json.loads(written_stream.read_text(encoding="utf-8"))
+    entry = data.draw(st.sampled_from(manifest["sessions"]))
+    lines = (written_stream.parent / entry["features_path"]).read_bytes().split(b"\r\n")
+    i = data.draw(st.integers(0, len(lines) - 2))  # the last item follows the final newline
+    cells = lines[i].split(b",")
+    j = data.draw(st.integers(0, len(cells) - 1))
+    mutation = data.draw(st.sampled_from(MUTATIONS))
+    if mutation == "truncate":
+        cells = cells[:j]
+    elif mutation == "extend":
+        cells.append(b"1.0")
+    elif mutation == "insert":
+        byte = data.draw(st.sampled_from([b'"', b"\x00", b"\xe9"]))
+        k = data.draw(st.integers(0, len(cells[j])))
+        cells[j] = cells[j][:k] + byte + cells[j][k:]
+    elif mutation == "blank":
+        cells = []
+    elif mutation == "replace":
+        cells[j] = data.draw(st.sampled_from([b"renamed", b"text", b"nan"]))
+    elif mutation == "drop":
+        del cells[j]
+    else:
+        cells.insert(j, cells[j])
+    lines[i] = b",".join(cells)
+    csv_path = written_stream.with_name("mutated.csv")
+    csv_path.write_bytes(b"\r\n".join(lines))
+    entry["features_path"] = csv_path.name
+    path = written_stream.with_name("mutated.json")
+    path.write_text(json.dumps(manifest), encoding="utf-8")
+    try:
+        load_sequence(path)
+    except DataLoadError as exc:
+        assert str(exc).startswith(f"{csv_path.resolve()}: ")
+
+
+@pytest.fixture(scope="module")
+def default_stream_dir(tmp_path_factory):
+    """`cdil synth` of the default spec: session 1's CSV is about 250 kB."""
+    out = tmp_path_factory.mktemp("default") / "stream"
+    assert cli_main(["synth", "--seed", "1", "--out", str(out)]) == 0
+    return out
+
+
+def split_with_damaged_line(tmp_path, stream_dir, line, damage):
+    """`cdil split` over a copy of `stream_dir` whose session_1.csv has
+    `damage(line bytes)` in place of line number `line`; returns the exit code."""
+    stream = shutil.copytree(stream_dir, tmp_path / "stream")
+    csv_path = stream / "session_1.csv"
+    lines = csv_path.read_bytes().split(b"\n")
+    lines[line - 1] = damage(lines[line - 1])
+    csv_path.write_bytes(b"\n".join(lines))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"data": {"manifest": "stream/manifest.json"}}),
+                      encoding="utf-8")
+    return cli_main(["split", "--config", str(config), "--out", str(tmp_path / "f.csv")])
+
+
+def test_stray_quote_exits_2_naming_the_csv_and_line(tmp_path, capsys, default_stream_dir):
+    # the quote opens a field that runs past the csv module's field size limit,
+    # about a hundred lines on; the record it opened starts on line 3
+    code = split_with_damaged_line(tmp_path, default_stream_dir, 3,
+                                   lambda line: b'"' + line)
+    assert code == 2
+    err = capsys.readouterr().err
+    csv_path = (tmp_path / "stream" / "session_1.csv").resolve()
+    assert f"error: {csv_path}: line 3: malformed CSV record: field larger than" in err
+
+
+def test_non_utf8_byte_exits_2_naming_the_csv_and_line(tmp_path, capsys, default_stream_dir):
+    # line 150 lies far beyond the text decoder's first chunk
+    code = split_with_damaged_line(tmp_path, default_stream_dir, 150,
+                                   lambda line: line.replace(b"s1-", b"s1-\xe9", 1))
+    assert code == 2
+    csv_path = (tmp_path / "stream" / "session_1.csv").resolve()
+    assert f"error: {csv_path}: line 150: not valid UTF-8" in capsys.readouterr().err
+
+
 class TestLoadSessionFeatures:
     def test_dimension_mismatch_names_the_file(self, tmp_path):
         write_feature_csv(tmp_path / "bad.csv", 3, [["x", "p", "a", "1", "2", "3"]])
@@ -214,6 +305,18 @@ class TestLoadSessionFeatures:
         write_manifest(path, [{"name": "s", "label_names": ["a"],
                                "features_path": "s.csv"}])
         with pytest.raises(DataLoadError, match="line 3"):
+            load_sequence(load_manifest(path))
+
+    def test_row_errors_name_the_physical_line(self, tmp_path):
+        # a quoted sample id holding a newline makes record 1 span lines 2 and 3
+        write_feature_csv(tmp_path / "s.csv", 2, [
+            ["x\n1", "p", "a", "1.0", "2.0"],
+            ["x2", "p", "a", "oops", "2.0"],
+        ])
+        path = tmp_path / "m.json"
+        write_manifest(path, [{"name": "s", "label_names": ["a"],
+                               "features_path": "s.csv"}])
+        with pytest.raises(DataLoadError, match=r"s\.csv: line 4: field 'features'"):
             load_sequence(load_manifest(path))
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -464,6 +567,8 @@ class TestCli:
         (None, "k", "5"),
         (None, "k", True),
         (None, "seed", 1.5),
+        (None, "deterministic", "yes"),
+        ("synthetic", "session_label_sets", [[1, 2], [2, 3]]),
     ])
     def test_wrongly_typed_value_exits_2_naming_the_field(self, tmp_path, capsys,
                                                           section, key, value):
@@ -496,6 +601,63 @@ class TestCli:
         assert cli_main(["run", "--config", str(config)]) == 2
         where = f"{config}: field '{field}'" if field else str(config)
         assert f"error: {where}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,key", [
+        (None, "protcol"),
+        (None, "threads"),
+        ("data", "manifset"),
+        ("learner", "ridge_lamda"),
+        ("data.synthetic", "noise_sigmaa"),
+    ])
+    def test_unknown_key_exits_2_naming_file_field_and_key(self, tmp_path, capsys,
+                                                             field, key):
+        config = self.run_config(tmp_path)
+        data = json.loads(config.read_text(encoding="utf-8"))
+        target = data
+        for name in field.split(".") if field else ():
+            target = target[name]
+        target[key] = 2
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config)]) == 2
+        where = f"{config}: field '{field}'" if field else str(config)
+        assert f"error: {where}: unknown key(s) ['{key}']" in capsys.readouterr().err
+
+    def test_synth_spec_unknown_key_exits_2(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"feature_dimm": 4}), encoding="utf-8")
+        assert cli_main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
+        assert (f"error: {spec_path}: unknown key(s) ['feature_dimm']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("learner", ["finetune", "prototype"])
+    @pytest.mark.parametrize("protocol", ["slcv", "ilcv"])
+    def test_config_echo_reruns_to_the_same_bytes(self, tmp_path, learner, protocol):
+        """A run's report.json `config`, written back out as a config file, runs
+        to byte-identical trial files and report."""
+        config = self.run_config(tmp_path, protocol=protocol, learner={
+            "variant": learner, "epochs_first": 3, "epochs_later": 1})
+        assert cli_main(["run", "--config", str(config)]) == 0
+        first, again = tmp_path / "out", tmp_path / "again"
+        echo = json.loads((first / "report.json").read_text(encoding="utf-8"))["config"]
+        echo_path = tmp_path / "echo.json"
+        echo_path.write_text(json.dumps({**echo, "out": str(again)}), encoding="utf-8")
+        assert cli_main(["run", "--config", str(echo_path)]) == 0
+        for name in ["report.json", "report.txt"] + [f"trials/trial_{t}.json" for t in (1, 2, 3)]:
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
+    def test_readme_quick_start_config_loads(self, tmp_path):
+        """The README's quick-start config loads, and the README names every config key."""
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("cat > config.json <<'EOF'\n", 1)[1].split("\nEOF\n", 1)[0]
+        path = tmp_path / "config.json"
+        path.write_text(block, encoding="utf-8")
+        cfg = config_from_file(path)
+        assert (cfg.protocol, cfg.k, cfg.seed, cfg.learner) == ("slcv", 5, 7, "prototype")
+        assert cfg.manifest == (tmp_path / "data" / "stream" / "manifest.json").resolve()
+        assert cfg.out == "results/run1"
+        for name in CONFIG_KEYS + tuple(f.name for f in fields(LearnerConfig) + fields(SynthSpec)):
+            assert f"`{name}`" in readme
 
     def test_synth_spec_must_be_an_object(self, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"

@@ -49,10 +49,18 @@ class TestStructure:
         {"class_separation": float("inf")},
         {"domain_shift": float("-inf")},
         {"subject_shift": float("nan")},
+        {"session_label_sets": 3},
+        {"session_label_sets": [[1, 2], [2, 3]]},
+        {"session_label_sets": ["ab"]},
     ])
     def test_invalid_spec_field_named(self, kwargs):
         with pytest.raises(ConfigurationError, match=next(iter(kwargs))):
             SynthSpec(**kwargs)
+
+    def test_label_sets_normalised_to_tuples(self):
+        spec = SynthSpec(session_label_sets=[["a", "b"], ["b"]])
+        assert spec.session_label_sets == (("a", "b"), ("b",))
+        assert spec == SynthSpec(session_label_sets=(("a", "b"), ("b",)))
 
 
 class TestDeterminism:
