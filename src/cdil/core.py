@@ -8,6 +8,7 @@ assigned by first appearance in session order, so the space only ever grows.
 
 from __future__ import annotations
 
+import math
 import numbers
 from collections import Counter
 from dataclasses import dataclass
@@ -17,7 +18,13 @@ import numpy as np
 
 
 class ConfigurationError(ValueError):
-    """Invalid configuration (fold counts, label sets, spec fields)."""
+    """Invalid configuration (fold counts, label sets, spec fields). `field`
+    names the offending field, if any; the text is "<field> <reason>"."""
+
+    def __init__(self, reason: str, field: str | None = None):
+        self.reason = reason
+        self.field = field
+        super().__init__(reason if field is None else f"{field} {reason}")
 
 
 class ProtocolError(RuntimeError):
@@ -36,14 +43,9 @@ class DataLoadError(ValueError):
         self.path = path
         self.line = line
         self.field = field
-        where = []
-        if path is not None:
-            where.append(str(path))
-        if line is not None:
-            where.append(f"line {line}")
-        if field is not None:
-            where.append(f"field '{field}'")
-        prefix = ": ".join(where)
+        where = (None if path is None else str(path), None if line is None else f"line {line}",
+                 None if field is None else f"field '{field}'")
+        prefix = ": ".join(w for w in where if w is not None)
         super().__init__(f"{prefix}: {message}" if prefix else message)
 
 
@@ -53,13 +55,47 @@ def check_int(name: str, value, minimum: int | None = None) -> None:
     if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
             or (minimum is not None and value < minimum)):
         bound = "" if minimum is None else f" >= {minimum}"
-        raise ConfigurationError(f"{name} must be an integer{bound}, got {value!r}")
+        raise ConfigurationError(f"must be an integer{bound}, got {value!r}", name)
 
 
-def check_real(name: str, value) -> None:
-    """Reject a value that is not a real number (a bool included), naming the field."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+def check_real(name: str, value, minimum: float | None = None, strict: bool = False) -> None:
+    """Like check_int, for a finite real number; `strict` excludes `minimum` itself."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value)
+            or (minimum is not None and (value <= minimum if strict else value < minimum))):
+        bound = "" if minimum is None else f" {'>' if strict else '>='} {minimum}"
+        raise ConfigurationError(f"must be a finite number{bound}, got {value!r}", name)
+
+
+def check_bool(name: str, value) -> None:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"must be true or false, got {value!r}", name)
+
+
+def check_choice(name: str, value, choices: tuple) -> None:
+    if value not in choices:
+        raise ConfigurationError(f"must be one of {choices}, got {value!r}", name)
+
+
+def check_str(name: str, value) -> None:
+    if not isinstance(value, str):
+        raise ConfigurationError(f"must be a string, got {value!r}", name)
+
+
+def check_list(name: str, value, minimum: int = 0) -> tuple:
+    """`value` as a tuple if it is a list of at least `minimum` entries, else rejected."""
+    if not isinstance(value, (list, tuple)) or len(value) < minimum:
+        bound = f" of length >= {minimum}" if minimum else ""
+        raise ConfigurationError(f"must be a list{bound}, got {value!r}", name)
+    return tuple(value)
+
+
+def check_names(name: str, value, minimum: int = 1) -> tuple[str, ...]:
+    """`value` as a tuple if it is a list of at least `minimum` distinct strings."""
+    names = check_list(name, value, minimum)
+    if not all(isinstance(n, str) for n in names) or len(set(names)) != len(names):
+        raise ConfigurationError(f"must be a list of distinct strings, got {value!r}", name)
+    return names
 
 
 class LabelRegistry:
@@ -133,8 +169,7 @@ class SessionDataset:
         n = len(sample_ids)
         if n < 1:
             raise ConfigurationError(f"session {session_index} has no samples")
-        if session_index < 1:
-            raise ConfigurationError(f"session index must be >= 1, got {session_index}")
+        check_int("session_index", session_index, 1)
         if features.ndim != 2 or {len(features), len(subject_ids)} != {n} or labels.shape != (n,):
             raise ConfigurationError(f"session {session_index}: columns disagree in length")
         realized = frozenset(labels.tolist())

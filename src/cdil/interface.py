@@ -2,9 +2,12 @@
 
 Interchange formats, chosen to be bit-exactly documentable:
 
-* Manifest — a JSON file with `name`, `feature_dim`, optional
-  `shared_subjects` (default false), and an ordered `sessions` list of
-  `{name, year?, label_names, features_path, min_samples_per_class?}`.
+* Manifest — a JSON object whose keys are the fields of `Manifest`: `name`,
+  `feature_dim`, optional `shared_subjects` (default false), and an ordered
+  `sessions` list of objects whose keys are the fields of `SessionEntry`:
+  `name`, `label_names`, `features_path`, optional `year` and
+  `min_samples_per_class`. Both dataclasses check their own fields, so an
+  unknown, missing or wrongly typed key fails naming the file and field.
   Session order is the incremental order; `features_path` is resolved
   relative to the manifest file.
 
@@ -15,7 +18,7 @@ Interchange formats, chosen to be bit-exactly documentable:
 * Report — `report.json` (full-precision machine output plus the config
   echo), `report.txt` (a one-row human table: per-session means, average
   and final accuracy in percent to two decimals), and `trials/trial_N.json`
-  per trial for re-aggregation.
+  per trial for re-aggregation, read back through `TrialResult`.
 
 Unless `shared_subjects` is true, raw subject ids are namespaced per session
 (`s{t}:{raw}`): sessions come from distinct datasets, so identical raw ids
@@ -29,13 +32,14 @@ import json
 import logging
 import os
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
-from .core import DataLoadError, LabelRegistry, ProtocolError, SessionDataset, SessionSequence
+from .core import (ConfigurationError, DataLoadError, LabelRegistry, ProtocolError, SessionDataset,
+                   SessionSequence, check_bool, check_int, check_list, check_names, check_str)
 from .metrics import ExperimentReport, TrialResult, aggregate
 
 logger = logging.getLogger(__name__)
@@ -47,9 +51,17 @@ FEATURE_HEADER_FIXED = ("sample_id", "subject_id", "label")
 class SessionEntry:
     name: str
     label_names: tuple[str, ...]
-    features_path: Path
+    features_path: str
     year: int | None = None
     min_samples_per_class: int = 0
+
+    def __post_init__(self):
+        check_str("name", self.name)
+        object.__setattr__(self, "label_names", check_names("label_names", self.label_names))
+        check_str("features_path", self.features_path)
+        if self.year is not None:
+            check_int("year", self.year)
+        check_int("min_samples_per_class", self.min_samples_per_class, 0)
 
 
 @dataclass(frozen=True)
@@ -58,15 +70,16 @@ class Manifest:
     feature_dim: int
     sessions: tuple[SessionEntry, ...]
     shared_subjects: bool = False
-    path: Path | None = None
+
+    def __post_init__(self):
+        check_str("name", self.name)
+        check_int("feature_dim", self.feature_dim, 1)
+        object.__setattr__(self, "sessions", check_list("sessions", self.sessions, 1))
+        check_bool("shared_subjects", self.shared_subjects)
 
     def registry(self) -> LabelRegistry:
         """Label registry in first-appearance order across the session list."""
-        registry = LabelRegistry()
-        for entry in self.sessions:
-            for name in entry.label_names:
-                registry.register(name)
-        return registry
+        return LabelRegistry(name for entry in self.sessions for name in entry.label_names)
 
 
 def read_json(path: str | Path):
@@ -90,80 +103,48 @@ def json_object(value, path: str | Path, field: str | None = None) -> dict:
 
 def known(data, allowed, path: str | Path, field: str | None = None) -> dict:
     """`data` if it is a JSON object whose keys all name a field of the dataclass
-    `allowed` (or, for a tuple, one of its names), else a DataLoadError naming
-    the file, the field and the unknown keys."""
+    `allowed` (or, for a tuple, one of its names) and that holds every field
+    without a default, else a DataLoadError naming the file, the field and the key."""
     names = allowed if isinstance(allowed, tuple) else [f.name for f in fields(allowed)]
     unknown = sorted(set(json_object(data, path, field)) - set(names))
     if unknown:
         raise DataLoadError(f"unknown key(s) {unknown}", path=path, field=field)
+    for f in () if isinstance(allowed, tuple) else fields(allowed):
+        if f.name not in data and f.default is MISSING and f.default_factory is MISSING:
+            raise DataLoadError("missing required field", path=path,
+                                field=f"{field}.{f.name}" if field else f.name)
     return data
 
 
-def load_manifest(path: str | Path) -> Manifest:
-    path = Path(path)
-    data = json_object(read_json(path), path)
-    for key in ("name", "feature_dim", "sessions"):
-        if key not in data:
-            raise DataLoadError("missing required field", path=path, field=key)
-    if not isinstance(data["name"], str):
-        raise DataLoadError("must be a string", path=path, field="name")
-    feature_dim = data["feature_dim"]
-    if not isinstance(feature_dim, int) or isinstance(feature_dim, bool) or feature_dim < 1:
-        raise DataLoadError("must be a positive integer", path=path, field="feature_dim")
-    if not isinstance(data["sessions"], list) or not data["sessions"]:
-        raise DataLoadError("must be a non-empty list", path=path, field="sessions")
-    shared_subjects = data.get("shared_subjects", False)
-    if not isinstance(shared_subjects, bool):
-        raise DataLoadError("must be true or false", path=path, field="shared_subjects")
+def _read(cls, data, path: Path, field: str | None = None):
+    """The dataclass `cls` built from the JSON object `data`; a bad field raises
+    DataLoadError naming the file and the field."""
+    try:
+        return cls(**known(data, cls, path, field))
+    except ConfigurationError as exc:
+        raise DataLoadError(exc.reason, path=path,
+                            field=f"{field}.{exc.field}" if field else exc.field) from None
 
-    entries = []
-    seen_names: set[str] = set()
-    for i, raw in enumerate(data["sessions"], start=1):
+
+def load_manifest(path: str | Path) -> Manifest:
+    """Read and check a manifest; each `features_path` is resolved relative to
+    the manifest and must name a readable file."""
+    path = Path(path)
+    # `sessions` holds the raw JSON entries until each is read below
+    manifest = _read(Manifest, read_json(path), path)
+    entries: list[SessionEntry] = []
+    for i, raw in enumerate(manifest.sessions, start=1):
         where = f"sessions[{i}]"
-        json_object(raw, path, where)
-        for key in ("name", "label_names", "features_path"):
-            if key not in raw:
-                raise DataLoadError("missing required field", path=path,
-                                    field=f"{where}.{key}")
-        name = raw["name"]
-        if not isinstance(name, str):
-            raise DataLoadError("must be a string", path=path, field=f"{where}.name")
-        if name in seen_names:
-            raise DataLoadError(f"duplicate session name {name!r}", path=path,
+        entry = _read(SessionEntry, raw, path, where)
+        if entry.name in {e.name for e in entries}:
+            raise DataLoadError(f"duplicate session name {entry.name!r}", path=path,
                                 field=f"{where}.name")
-        seen_names.add(name)
-        label_names = raw["label_names"]
-        if (not isinstance(label_names, list) or not label_names
-                or not all(isinstance(n, str) for n in label_names)):
-            raise DataLoadError("must be a non-empty list of strings", path=path,
-                                field=f"{where}.label_names")
-        if len(set(label_names)) != len(label_names):
-            raise DataLoadError("repeats a label name", path=path,
-                                field=f"{where}.label_names")
-        min_count = raw.get("min_samples_per_class", 0)
-        if not isinstance(min_count, int) or isinstance(min_count, bool) or min_count < 0:
-            raise DataLoadError("must be a non-negative integer", path=path,
-                                field=f"{where}.min_samples_per_class")
-        year = raw.get("year")
-        if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
-            raise DataLoadError("must be an integer", path=path, field=f"{where}.year")
-        if not isinstance(raw["features_path"], str):
-            raise DataLoadError("must be a string", path=path, field=f"{where}.features_path")
-        features_path = (path.parent / raw["features_path"]).resolve()
+        features_path = (path.parent / entry.features_path).resolve()
         if not features_path.is_file():
             raise DataLoadError(f"feature file {features_path} is not readable",
                                 path=path, field=f"{where}.features_path")
-        entries.append(SessionEntry(
-            name=name,
-            label_names=tuple(label_names),
-            features_path=features_path,
-            year=year,
-            min_samples_per_class=min_count,
-        ))
-    return Manifest(name=data["name"], feature_dim=feature_dim,
-                    sessions=tuple(entries),
-                    shared_subjects=shared_subjects,
-                    path=path)
+        entries.append(replace(entry, features_path=str(features_path)))
+    return replace(manifest, sessions=tuple(entries))
 
 
 def load_session_features(entry: SessionEntry, registry: LabelRegistry,
@@ -174,11 +155,12 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
     Classes with fewer than `entry.min_samples_per_class` samples are dropped
     from both the samples and the session's label set, with a logged notice.
     """
-    path = entry.features_path
+    path = Path(entry.features_path)
     expected_header = list(FEATURE_HEADER_FIXED) + [f"f{i}" for i in range(feature_dim)]
     declared = set(entry.label_names)
     ids: list[tuple[str, str, str]] = []  # (sample id, subject id, label name) per row
     rows: list[list[float]] = []
+    lines: list[int] = []  # the first physical line of each row
     line_no = 1  # the first line of the record being read
     try:
         with open(path, newline="", encoding="utf-8") as fh:
@@ -217,6 +199,7 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
                 if not shared_subjects:
                     subject_id = f"s{session_index}:{subject_id}"
                 ids.append((sample_id, subject_id, label_name))
+                lines.append(line_no)
                 line_no = reader.line_num + 1
     except csv.Error as exc:
         raise DataLoadError(f"malformed CSV record: {exc}", path=path, line=line_no) from None
@@ -235,7 +218,7 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
     non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(non_finite):
         raise DataLoadError("non-finite feature value",
-                            path=path, line=int(non_finite[0]) + 2, field="features")
+                            path=path, line=lines[non_finite[0]], field="features")
 
     counts = Counter(name for _, _, name in ids)
     kept_names = [name for name in entry.label_names
@@ -293,11 +276,8 @@ def write_stream(seq: SessionSequence, out_dir: str | Path,
         # class-index order preserves the registry's first-appearance order
         # across a write -> load round trip
         label_names = [seq.registry.name_of(c) for c in sorted(session.label_set)]
-        session_entries.append({
-            "name": f"session_{t}",
-            "label_names": label_names,
-            "features_path": csv_name,
-        })
+        session_entries.append({"name": f"session_{t}", "label_names": label_names,
+                                "features_path": csv_name})
     manifest_path = out_dir / "manifest.json"
     with open(manifest_path, "w", encoding="utf-8") as fh:
         json.dump({
@@ -366,6 +346,8 @@ def _load_record(path: Path, from_dict):
     data = read_json(path)
     try:
         return from_dict(data)
+    except ConfigurationError as exc:
+        raise DataLoadError(exc.reason, path=path, field=exc.field) from None
     except KeyError as exc:
         raise DataLoadError("missing required field", path=path, field=str(exc.args[0])) from None
     except (TypeError, ValueError, ProtocolError) as exc:

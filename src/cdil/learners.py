@@ -25,7 +25,6 @@ model.
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
@@ -33,7 +32,8 @@ from typing import AbstractSet, Sequence
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .core import ConfigurationError, NumericalError, ProtocolError, check_int, check_real
+from .core import (NumericalError, ProtocolError, check_bool, check_choice, check_int,
+                   check_real)
 from .rch import RCHState, softmax_rows
 from .rng import derive_seed, substream
 
@@ -61,29 +61,20 @@ class LearnerConfig:
     prototype_stats: str = "per_session"  # "per_session" | "cumulative"
 
     def __post_init__(self):
-        for name in ("learning_rate", "ridge_lambda", "head_init_std"):
-            check_real(name, getattr(self, name))
+        check_real("learning_rate", self.learning_rate, 0)
+        check_real("ridge_lambda", self.ridge_lambda, 0, strict=True)
+        check_real("head_init_std", self.head_init_std, 0, strict=True)
         for name, minimum in (("batch_size", 1), ("epochs_first", 0), ("epochs_later", 0)):
             check_int(name, getattr(self, name), minimum)
         if self.projection_dim is not None:
             check_int("projection_dim", self.projection_dim, 1)
         if self.projection_seed is not None:
             check_int("projection_seed", self.projection_seed)
-        for name in ("feature_map", "bias_feature"):
-            if not isinstance(getattr(self, name), bool):
-                raise ConfigurationError(f"{name} must be true or false")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ConfigurationError("learning_rate must be finite and >= 0")
-        if not (math.isfinite(self.ridge_lambda) and self.ridge_lambda > 0):
-            raise ConfigurationError("ridge_lambda must be finite and > 0")
-        if not (math.isfinite(self.head_init_std) and self.head_init_std > 0):
-            raise ConfigurationError("head_init_std must be finite and > 0")
-        if self.nonlinearity not in ("relu", "identity"):
-            raise ConfigurationError(f"unknown nonlinearity {self.nonlinearity!r}")
-        if self.head_init not in ("zeros", "gaussian"):
-            raise ConfigurationError(f"unknown head init {self.head_init!r}")
-        if self.prototype_stats not in ("per_session", "cumulative"):
-            raise ConfigurationError(f"unknown prototype_stats mode {self.prototype_stats!r}")
+        check_bool("feature_map", self.feature_map)
+        check_bool("bias_feature", self.bias_feature)
+        check_choice("nonlinearity", self.nonlinearity, ("relu", "identity"))
+        check_choice("head_init", self.head_init, ("zeros", "gaussian"))
+        check_choice("prototype_stats", self.prototype_stats, ("per_session", "cumulative"))
 
 
 class Learner(ABC):
@@ -306,11 +297,10 @@ def make_learner(variant: str, feature_dim: int, cfg: LearnerConfig | None = Non
                  projection: np.ndarray | None = None) -> Learner:
     """A fresh learner; `projection` is a prototype projection drawn once per experiment."""
     cfg = cfg if cfg is not None else LearnerConfig()
+    check_choice("variant", variant, VARIANTS)
     if variant == FINETUNE:
         return FinetuneLearner(feature_dim, cfg, experiment_seed, trial_index)
-    if variant == PROTOTYPE:
-        return PrototypeLearner(feature_dim, cfg, experiment_seed, trial_index, projection)
-    raise ConfigurationError(f"unknown learner variant {variant!r}; expected one of {VARIANTS}")
+    return PrototypeLearner(feature_dim, cfg, experiment_seed, trial_index, projection)
 
 
 def config_with_defaults(cfg: LearnerConfig, feature_dim: int,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .core import ProtocolError
+from .core import ProtocolError, check_int, check_list
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,16 @@ class TrialResult:
     total: tuple[int, ...]
 
     def __post_init__(self):
+        check_int("trial_index", self.trial_index, 1)
+        for name in ("correct", "total"):
+            counts = check_list(name, getattr(self, name))
+            for i, count in enumerate(counts):
+                check_int(f"{name}[{i}]", count, 0)
+            object.__setattr__(self, name, counts)
         if len(self.correct) != len(self.total):
             raise ProtocolError("correct/total vectors differ in length")
         for c, t in zip(self.correct, self.total):
-            if t < 1 or not 0 <= c <= t:
+            if t < 1 or c > t:
                 raise ProtocolError(f"invalid counts ({c}, {t})")
 
     @property
@@ -52,9 +58,7 @@ class TrialResult:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "TrialResult":
-        return cls(trial_index=int(data["trial_index"]),
-                   correct=tuple(int(c) for c in data["correct"]),
-                   total=tuple(int(t) for t in data["total"]))
+        return cls(trial_index=data["trial_index"], correct=data["correct"], total=data["total"])
 
 
 def final_accuracy(result: TrialResult) -> float:

@@ -20,7 +20,9 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .core import ConfigurationError, ProtocolError, SessionSequence, check_int
+from . import interface
+from .core import (ConfigurationError, ProtocolError, SessionSequence, check_bool,
+                   check_choice, check_int)
 from .learners import (PROTOTYPE, VARIANTS, LearnerConfig, Learner, config_with_defaults,
                        draw_projection, make_learner)
 from .metrics import ExperimentReport, TrialResult, aggregate
@@ -45,16 +47,11 @@ class ExperimentConfig:
     deterministic: bool = False
 
     def __post_init__(self):
-        if self.protocol not in MODES:
-            raise ConfigurationError(f"unknown protocol {self.protocol!r}; expected one of {MODES}")
+        check_choice("protocol", self.protocol, MODES)
         check_int("k", self.k, 2)
         check_int("seed", self.seed)
-        if self.learner not in VARIANTS:
-            raise ConfigurationError(
-                f"unknown learner {self.learner!r}; expected one of {VARIANTS}")
-        if not isinstance(self.deterministic, bool):
-            raise ConfigurationError(
-                f"deterministic must be true or false, got {self.deterministic!r}")
+        check_choice("learner", self.learner, VARIANTS)
+        check_bool("deterministic", self.deterministic)
         if (self.synth is None) == (self.manifest is None):
             raise ConfigurationError("exactly one of synth spec or manifest path is required")
 
@@ -140,8 +137,7 @@ def run_trial(cfg: ExperimentConfig, seq: SessionSequence,
 def build_sequence(cfg: ExperimentConfig) -> SessionSequence:
     if cfg.synth is not None:
         return generate_stream(cfg.synth)
-    from .interface import load_sequence  # local import to avoid a cycle
-    return load_sequence(cfg.manifest)
+    return interface.load_sequence(cfg.manifest)
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -165,6 +161,5 @@ def run_experiment(cfg: ExperimentConfig,
     logger.info("experiment done: mean final %.4f, mean average %.4f",
                 report.mean_final, report.mean_average)
     if cfg.out is not None:
-        from .interface import write_report
-        write_report(report, cfg.out)
+        interface.write_report(report, cfg.out)
     return report

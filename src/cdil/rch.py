@@ -18,7 +18,7 @@ from typing import AbstractSet
 
 import numpy as np
 
-from .core import ConfigurationError
+from .core import ConfigurationError, check_int
 
 
 class RCHState:
@@ -32,8 +32,7 @@ class RCHState:
     """
 
     def __init__(self, feature_dim: int):
-        if feature_dim < 1:
-            raise ConfigurationError(f"feature dimension must be >= 1, got {feature_dim}")
+        check_int("feature_dim", feature_dim, 1)
         self.feature_dim = feature_dim
         self._rows = np.zeros((0, feature_dim))
         self._row_class = np.zeros(0, dtype=np.int64)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConfigurationError, SessionDataset
+from .core import ConfigurationError, SessionDataset, check_choice, check_int
 from .rng import Xoshiro256StarStar
 
 SLCV = "slcv"
@@ -56,8 +56,7 @@ def _deal(units: Sequence[str], k: int, seed: int) -> np.ndarray:
 
 def slcv_partition(session: SessionDataset, k: int, seed: int) -> FoldAssignment:
     """Subject-level folds: all samples of a subject share one fold."""
-    if k < 2:
-        raise ConfigurationError(f"fold count must be >= 2, got {k}")
+    check_int("k", k, 2)
     n_subjects = len(session.subjects)
     if n_subjects < k:
         raise ConfigurationError(
@@ -71,8 +70,7 @@ def slcv_partition(session: SessionDataset, k: int, seed: int) -> FoldAssignment
 
 def ilcv_partition(session: SessionDataset, k: int, seed: int) -> FoldAssignment:
     """Instance-level folds: samples are dealt independently of subjects."""
-    if k < 2:
-        raise ConfigurationError(f"fold count must be >= 2, got {k}")
+    check_int("k", k, 2)
     if session.size < k:
         raise ConfigurationError(
             f"session {session.session_index}: fewer samples than folds "
@@ -82,11 +80,8 @@ def ilcv_partition(session: SessionDataset, k: int, seed: int) -> FoldAssignment
 
 
 def partition(session: SessionDataset, k: int, seed: int, mode: str) -> FoldAssignment:
-    if mode == SLCV:
-        return slcv_partition(session, k, seed)
-    if mode == ILCV:
-        return ilcv_partition(session, k, seed)
-    raise ConfigurationError(f"unknown partition mode {mode!r}; expected one of {MODES}")
+    check_choice("mode", mode, MODES)
+    return (slcv_partition if mode == SLCV else ilcv_partition)(session, k, seed)
 
 
 def bind_folds(assignments: Sequence[FoldAssignment],

@@ -17,13 +17,12 @@ exact class+session(+subject) means.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ConfigurationError, LabelRegistry, SessionDataset, SessionSequence,
-                   check_int, check_real)
+                   check_int, check_list, check_names, check_real)
 from .rng import substream
 
 DEFAULT_SESSION_LABELS: tuple[tuple[str, ...], ...] = (
@@ -47,31 +46,15 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        label_sets = self.session_label_sets
-        if not (isinstance(label_sets, (list, tuple)) and all(
-                isinstance(labels, (list, tuple)) and all(isinstance(n, str) for n in labels)
-                for labels in label_sets)):
-            raise ConfigurationError(
-                f"session_label_sets must be a list of lists of strings, got {label_sets!r}")
-        object.__setattr__(self, "session_label_sets",
-                           tuple(tuple(labels) for labels in label_sets))
-        if not self.session_label_sets:
-            raise ConfigurationError("need at least one session label set")
-        if len(self.session_label_sets[0]) < 2:
-            raise ConfigurationError("session 1 needs at least 2 classes")
-        for t, labels in enumerate(self.session_label_sets, start=1):
-            if not labels:
-                raise ConfigurationError(f"session {t} has an empty label set")
-            if len(set(labels)) != len(labels):
-                raise ConfigurationError(f"session {t} repeats a label name")
+        label_sets = check_list("session_label_sets", self.session_label_sets, 1)
+        object.__setattr__(self, "session_label_sets", tuple(
+            check_names("session_label_sets", labels, 2 if t == 1 else 1)
+            for t, labels in enumerate(label_sets, start=1)))
         for name in ("feature_dim", "samples_per_class_per_session", "subjects_per_session"):
             check_int(name, getattr(self, name), 1)
         check_int("seed", self.seed)
         for name in ("class_separation", "domain_shift", "subject_shift", "noise_sigma"):
-            value = getattr(self, name)
-            check_real(name, value)
-            if not (math.isfinite(value) and value >= 0):
-                raise ConfigurationError(f"{name} must be finite and >= 0")
+            check_real(name, getattr(self, name), 0)
 
 
 def _direction(rng, dim: int, norm: float) -> np.ndarray:
@@ -88,10 +71,7 @@ def _direction(rng, dim: int, norm: float) -> np.ndarray:
 
 def generate_stream(spec: SynthSpec) -> SessionSequence:
     """Deterministically generate the session stream described by `spec`."""
-    registry = LabelRegistry()
-    for labels in spec.session_label_sets:
-        for name in labels:
-            registry.register(name)
+    registry = LabelRegistry(name for labels in spec.session_label_sets for name in labels)
 
     class_means = {
         name: _direction(substream(spec.seed, "class-mean", name),

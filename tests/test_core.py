@@ -1,7 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from cdil.core import ConfigurationError, LabelRegistry, SessionDataset, SessionSequence
+from cdil.core import (ConfigurationError, LabelRegistry, SessionDataset, SessionSequence,
+                       check_bool, check_choice, check_int, check_list, check_names, check_real,
+                       check_str)
 from cdil.synth import DEFAULT_SESSION_LABELS, SynthSpec, generate_stream
 
 
@@ -154,3 +158,43 @@ class TestSessionsOfClass:
 def test_default_label_structure_matches_benchmark_sequence():
     sizes = [len(s) for s in DEFAULT_SESSION_LABELS]
     assert sizes == [5, 5, 6, 7]
+
+
+@pytest.mark.parametrize("check,args,text", [
+    (check_int, ("k", 1.0, 2), "k must be an integer >= 2, got 1.0"),
+    (check_int, ("seed", True), "seed must be an integer, got True"),
+    (check_real, ("rate", math.nan, 0), "rate must be a finite number >= 0, got nan"),
+    (check_real, ("rate", -math.inf), "rate must be a finite number, got -inf"),
+    (check_real, ("lam", 0.0, 0, True), "lam must be a finite number > 0, got 0.0"),
+    (check_real, ("lam", False), "lam must be a finite number, got False"),
+    (check_bool, ("flag", 1), "flag must be true or false, got 1"),
+    (check_choice, ("mode", "loso", ("slcv", "ilcv")),
+     "mode must be one of ('slcv', 'ilcv'), got 'loso'"),
+    (check_str, ("name", 3), "name must be a string, got 3"),
+    (check_list, ("correct", "3781"), "correct must be a list, got '3781'"),
+    (check_list, ("sessions", [], 1), "sessions must be a list of length >= 1, got []"),
+    (check_names, ("labels", ["a", "a"]), "labels must be a list of distinct strings, got ['a', 'a']"),
+    (check_names, ("labels", ["a", 1]), "labels must be a list of distinct strings, got ['a', 1]"),
+    (check_names, ("labels", "ab"), "labels must be a list of length >= 1, got 'ab'"),
+])
+def test_checks_name_the_field_and_the_reason(check, args, text):
+    with pytest.raises(ConfigurationError) as raised:
+        check(*args)
+    assert str(raised.value) == text
+    assert raised.value.field == args[0]
+    assert text == f"{args[0]} {raised.value.reason}"
+
+
+def test_checks_pass_good_values_and_return_lists_as_tuples():
+    check_int("k", np.int64(2), 2)
+    check_real("lam", 1, 0, strict=True)
+    check_bool("flag", False)
+    check_choice("mode", "ilcv", ("slcv", "ilcv"))
+    check_str("name", "")
+    assert check_list("correct", []) == ()
+    assert check_names("labels", ["b", "a"], 2) == ("b", "a")
+
+
+def test_configuration_error_without_a_field_is_its_reason():
+    error = ConfigurationError("a sequence needs at least one session")
+    assert (str(error), error.field) == ("a sequence needs at least one session", None)

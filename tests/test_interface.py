@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
@@ -12,8 +13,8 @@ from hypothesis import strategies as st
 
 from cdil.cli import CONFIG_KEYS, config_from_file, main as cli_main
 from cdil.core import DataLoadError, ProtocolError
-from cdil.interface import (format_report_table, load_manifest, load_report,
-                            load_sequence, reaggregate_trials, write_report,
+from cdil.interface import (Manifest, SessionEntry, format_report_table, load_manifest,
+                            load_report, load_sequence, reaggregate_trials, write_report,
                             write_stream)
 from cdil.learners import LearnerConfig
 from cdil.metrics import TrialResult, aggregate
@@ -124,6 +125,30 @@ class TestLoadManifest:
         with pytest.raises(DataLoadError) as raised:
             load_sequence(toy_dataset)
         assert str(raised.value).startswith(f"{toy_dataset}: field '{field}': must be")
+
+    @pytest.mark.parametrize("where,reason,edit", [
+        ("", "unknown key(s) ['shared_subject']",
+         lambda m: m.update(shared_subject=False)),
+        ("field 'sessions[1]': ", "unknown key(s) ['min_sample_per_class']",
+         lambda m: m["sessions"][0].update(min_sample_per_class=99)),
+        ("field 'sessions[2]': ", "unknown key(s) ['yaer']",
+         lambda m: m["sessions"][1].update(yaer=2015)),
+        ("field 'feature_dim': ", "missing required field", lambda m: m.pop("feature_dim")),
+    ])
+    def test_unknown_or_missing_key_named(self, toy_dataset, where, reason, edit):
+        manifest = json.loads(toy_dataset.read_text(encoding="utf-8"))
+        edit(manifest)
+        toy_dataset.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(DataLoadError) as raised:
+            load_sequence(toy_dataset)
+        assert str(raised.value) == f"{toy_dataset}: {where}{reason}"
+
+    def test_readme_lists_exactly_the_manifest_and_session_keys(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        manifest_part = readme.split("* manifest keys:", 1)[1].split("* session keys:", 1)[0]
+        session_part = readme.split("* session keys:", 1)[1].split("\n\n", 1)[0]
+        assert set(re.findall(r"`(\w+)`", manifest_part)) == {f.name for f in fields(Manifest)}
+        assert set(re.findall(r"`(\w+)`", session_part)) == {f.name for f in fields(SessionEntry)}
 
     def test_unreadable_feature_path_rejected(self, tmp_path):
         path = tmp_path / "m.json"
@@ -329,6 +354,18 @@ class TestLoadSessionFeatures:
         write_manifest(path, [{"name": "s", "label_names": ["a"],
                                "features_path": "s.csv"}])
         with pytest.raises(DataLoadError, match=r"s\.csv: line 3: field 'features'"):
+            load_sequence(load_manifest(path))
+
+    def test_non_finite_feature_names_the_physical_line(self, tmp_path):
+        # a quoted sample id holding a newline makes record 1 span lines 2 and 3
+        write_feature_csv(tmp_path / "s.csv", 2, [
+            ["a\nb", "p", "a", "1.0", "2.0"],
+            ["x2", "p", "a", "1.0", "nan"],
+        ])
+        path = tmp_path / "m.json"
+        write_manifest(path, [{"name": "s", "label_names": ["a"],
+                               "features_path": "s.csv"}])
+        with pytest.raises(DataLoadError, match=r"s\.csv: line 4: field 'features'"):
             load_sequence(load_manifest(path))
 
     @pytest.mark.parametrize("value", ["two", 2.5, -1, True, None])
@@ -551,6 +588,27 @@ class TestCli:
         trial.write_text(json.dumps(data), encoding="utf-8")
         assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
         assert "trial_2.json: field 'correct'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("correct", [[3.9, 1], ["3", 1], [True, True], "3781"])
+    def test_report_rejects_a_count_that_is_not_an_integer(self, tmp_path, capsys, correct):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        trial = tmp_path / "out" / "trials" / "trial_2.json"
+        data = json.loads(trial.read_text(encoding="utf-8"))
+        data["correct"] = correct
+        trial.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
+        assert f"error: {trial}: field 'correct" in capsys.readouterr().err
+
+    def test_split_exits_2_on_a_manifest_key_typo(self, tmp_path, capsys, toy_dataset):
+        manifest = json.loads(toy_dataset.read_text(encoding="utf-8"))
+        manifest["sessions"][0]["min_sample_per_class"] = 99
+        toy_dataset.write_text(json.dumps(manifest), encoding="utf-8")
+        config = self.run_config(tmp_path, k=2, data={"manifest": toy_dataset.name})
+        assert cli_main(["split", "--config", str(config), "--out", str(tmp_path / "f.csv")]) == 2
+        assert (f"error: {toy_dataset}: field 'sessions[1]': "
+                f"unknown key(s) ['min_sample_per_class']" in capsys.readouterr().err)
+        assert not (tmp_path / "f.csv").exists()
 
     def test_report_names_an_unparsable_trial_file_and_line(self, tmp_path, capsys):
         config = self.run_config(tmp_path)
