@@ -17,8 +17,9 @@
 `"synthetic"` (SynthSpec fields) or `"manifest"` (a path, resolved relative to
 the config file). An unknown key at any level exits 2 naming the file, field
 and key; a wrongly typed value, a non-boolean `deterministic` included, exits 2
-naming the field. Every run is sequential and bit-reproducible;
-`--deterministic` only sets the echoed flag.
+naming the file and the field. The file must be valid before flags override it.
+Every run is sequential and bit-reproducible; `--deterministic` only sets the
+echoed flag.
 """
 
 from __future__ import annotations
@@ -27,9 +28,10 @@ import argparse
 import csv
 import logging
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .core import DataLoadError
+from .core import ConfigurationError, DataLoadError
 from .learners import VARIANTS, LearnerConfig
 from .pipeline import ExperimentConfig, build_sequence, partition_sequence, run_experiment
 from .interface import (format_report_table, json_object, known, read_json, reaggregate_trials,
@@ -41,25 +43,29 @@ CONFIG_KEYS = ("protocol", "k", "seed", "learner", "data", "out", "deterministic
 
 
 def config_from_file(path: str | Path, **overrides) -> ExperimentConfig:
-    """The ExperimentConfig a JSON config file describes; each keyword override
-    that is not None replaces the field of that name."""
+    """The ExperimentConfig a JSON config file describes, each of whose fields
+    must be valid; then each keyword override that is not None replaces the
+    field of that name. A bad field value in the file names the file."""
     path = Path(path)
     top = dict(known(read_json(path), CONFIG_KEYS, path))
     learner = dict(json_object(top.pop("learner", {}), path, "learner"))
     if "variant" in learner:
         top["learner"] = learner.pop("variant")
     source = known(top.pop("data", {}), ("synthetic", "manifest"), path, "data")
-    if "synthetic" in source:
-        top["synth"] = SynthSpec(**known(source["synthetic"], SynthSpec, path, "data.synthetic"))
     if "manifest" in source:
         if not isinstance(source["manifest"], str):
             raise DataLoadError("must be a path string", path=path, field="data.manifest")
         top["manifest"] = (path.parent / source["manifest"]).resolve()
     if top.get("out") is not None and not isinstance(top["out"], str):
         raise DataLoadError("must be a path string", path=path, field="out")
-    top.update((name, value) for name, value in overrides.items() if value is not None)
-    return ExperimentConfig(
-        learner_config=LearnerConfig(**known(learner, LearnerConfig, path, "learner")), **top)
+    try:
+        if "synthetic" in source:
+            top["synth"] = SynthSpec(**known(source["synthetic"], SynthSpec, path, "data.synthetic"))
+        cfg = ExperimentConfig(
+            learner_config=LearnerConfig(**known(learner, LearnerConfig, path, "learner")), **top)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{path}: {exc}") from None
+    return replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -192,7 +192,7 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
                         f"label {label_name!r} is not declared for session {entry.name!r}",
                         path=path, line=line_no, field="label")
                 try:
-                    rows.append([float(v) for v in row[3:]])
+                    rows.append(list(map(float, row[3:])))
                 except ValueError:
                     raise DataLoadError("non-numeric feature value",
                                         path=path, line=line_no, field="features") from None
@@ -272,7 +272,7 @@ def write_stream(seq: SessionSequence, out_dir: str | Path,
                     session.sample_ids, session.subject_ids, session.labels.tolist(),
                     session.features.tolist()):
                 writer.writerow([sample_id, subject_id, seq.registry.name_of(label)]
-                                + [repr(v) for v in row])
+                                + list(map(repr, row)))
         # class-index order preserves the registry's first-appearance order
         # across a write -> load round trip
         label_names = [seq.registry.name_of(c) for c in sorted(session.label_set)]
@@ -369,7 +369,7 @@ def reaggregate_trials(run_dir: str | Path) -> ExperimentReport:
     if not report_path.is_file():
         raise ProtocolError(f"{report_path} not found; it records the fold count k")
     recorded = load_report(report_path)
-    k = int(recorded.config.get("k", recorded.k))
+    k = recorded.config.get("k", recorded.k)
     trials_dir = run_dir / "trials"
     trials = [_load_record(p, TrialResult.from_dict)
               for p in sorted(trials_dir.glob("trial_*.json"))]

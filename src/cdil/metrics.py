@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .core import ProtocolError, check_int, check_list
+from .core import ProtocolError, check_int, check_list, check_real
 
 
 @dataclass(frozen=True)
@@ -111,14 +111,22 @@ class ExperimentReport:
 
     @classmethod
     def from_dict(cls, data: dict[str, Any]) -> "ExperimentReport":
+        config = dict(data.get("config", {}))
+        if "k" in config:
+            check_int("config.k", config["k"], 1)
+        per_session = check_list("mean_per_session", data["mean_per_session"])
+        for i, value in enumerate(per_session):
+            check_real(f"mean_per_session[{i}]", value)
+        for name in ("mean_final", "mean_average", "std_final", "std_average"):
+            check_real(name, data[name])
         return cls(
             trials=tuple(TrialResult.from_dict(t) for t in data["trials"]),
-            mean_per_session=tuple(float(v) for v in data["mean_per_session"]),
+            mean_per_session=tuple(map(float, per_session)),
             mean_final=float(data["mean_final"]),
             mean_average=float(data["mean_average"]),
             std_final=float(data["std_final"]),
             std_average=float(data["std_average"]),
-            config=dict(data.get("config", {})),
+            config=config,
         )
 
 

@@ -2,10 +2,15 @@
 
 The generator is xoshiro256** (Blackman & Vigna), a 64-bit xorshift-family
 generator with a 256-bit state, seeded by expanding a single 64-bit seed
-through splitmix64. It is implemented here in plain Python so that fold
-assignments, synthetic streams, and learner randomness are reproducible
-across platforms and library versions; the platform `random` module and
-numpy's default streams are never used.
+through splitmix64. It is implemented here, not taken from a library, so
+that fold assignments, synthetic streams, and learner randomness are
+reproducible across platforms and library versions; the platform `random`
+module and numpy's default streams are never used.
+
+`normals` draws blocks equal bit for bit to `normal()` in a loop: the state
+update is GF(2)-linear, so lanes started by jumps are the sequential stream laid
+end to end; numpy does only what IEEE 754 fixes exactly, and log, sin and cos
+stay on `math`.
 
 Substreams are derived by hashing an ordered tuple of purpose tags
 (experiment seed, session index, protocol name, ...) with SHA-256 and
@@ -47,6 +52,47 @@ def _splitmix64(state: int) -> tuple[int, int]:
 
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
+
+
+_LANE_STEPS, _MIN_BLOCK, _CHUNK = 64, 640, 4096  # lane length, least block, normals per block
+_JUMPS: list[np.ndarray] = []  # [k]: (64, 16, 4) table of _LANE_STEPS * 2**k steps, built on use
+
+
+def _math(f, a: np.ndarray) -> np.ndarray:
+    """`f` from `math` applied to each entry of the float64 array `a`."""
+    return np.fromiter(map(f, memoryview(a)), np.float64, len(a))
+
+
+def _step(s: np.ndarray) -> None:
+    """Advance the (4, lanes) uint64 states one step in place."""
+    t = s[1] << np.uint64(17)
+    s[2:] ^= s[:2]  # s2 ^= s0, s3 ^= s1
+    s[:2] ^= s[3:1:-1]  # s0 ^= s3, s1 ^= s2
+    s[2] ^= t
+    s[3] = (s[3] << np.uint64(45)) | (s[3] >> np.uint64(19))
+
+
+def _jump(s: np.ndarray, k: int) -> np.ndarray:
+    """The (4, lanes) states advanced _LANE_STEPS * 2**k steps. The map is GF(2)-linear:
+    entry [p, v] of its table is the image of the state whose only nonzero 4-bit
+    group, the p-th, holds v, and a state's image is the XOR over its groups."""
+    while len(_JUMPS) <= k:  # the first steps the 256 one-bit states, the rest square
+        if _JUMPS:  # the last jump applied to its own one-bit images, 64 at a time
+            ones = _JUMPS[-1][:, [1, 2, 4, 8]].reshape(256, 4).T
+            images = np.hstack([_jump(part, len(_JUMPS) - 1) for part in np.hsplit(ones, 4)])
+        else:
+            images = np.packbits(np.eye(256, dtype=np.uint8), axis=1, bitorder="little")
+            images = images.view(np.uint64).T.copy()
+            for _ in range(_LANE_STEPS):
+                _step(images)
+        images = images.T.reshape(64, 4, 4)
+        table = np.zeros((64, 16, 4), dtype=np.uint64)
+        for b in range(4):
+            table[:, 1 << b:2 << b] = table[:, :1 << b] ^ images[:, b, None]
+        _JUMPS.append(table)
+    groups = np.ascontiguousarray(s.T).view(np.uint8)
+    groups = np.stack([groups & 15, groups >> 4], axis=2).reshape(len(groups), 64)
+    return np.bitwise_xor.reduce(_JUMPS[k][np.arange(64), groups], axis=1).T.copy()
 
 
 class Xoshiro256StarStar:
@@ -110,12 +156,42 @@ class Xoshiro256StarStar:
         self._spare = r * math.sin(theta)
         return r * math.cos(theta)
 
+    def _u64s(self, n: int) -> np.ndarray:
+        """The next n outputs, leaving the state where n `next_u64` calls would."""
+        if n < _MIN_BLOCK:
+            return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
+        lanes = -(-n // _LANE_STEPS)  # lane j starts j * _LANE_STEPS steps on
+        s = np.array([[self._s0], [self._s1], [self._s2], [self._s3]], dtype=np.uint64)
+        for k in range((lanes - 1).bit_length()):
+            s = np.concatenate([s, _jump(s[:, :lanes - s.shape[1]], k)], axis=1)
+        s1s = np.empty((_LANE_STEPS, lanes), dtype=np.uint64)
+        for i in range(1, _LANE_STEPS + 1):
+            s1s[i - 1] = s[1]
+            _step(s)
+            if i == n - (lanes - 1) * _LANE_STEPS:  # the last lane is where the draw ends
+                self._s0, self._s1, self._s2, self._s3 = s[:, -1].tolist()
+        x = s1s.T.reshape(-1)[:n] * np.uint64(5)
+        return ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
-        """Array of standard normal draws in row-major fill order."""
+        """Array of standard normal draws in row-major fill order, bit for bit
+        the values of one `normal()` call per entry."""
         out = np.empty(shape, dtype=np.float64)
         flat = out.reshape(-1)
-        for i in range(flat.size):
-            flat[i] = self.normal()
+        start = int(flat.size > 0 and self._spare is not None)
+        if start:
+            flat[0], self._spare = self._spare, None
+        for lo in range(start, flat.size, _CHUNK):
+            size = min(_CHUNK, flat.size - lo)
+            x = self._u64s(size + size % 2) >> np.uint64(11)
+            u1 = (x[0::2] + np.uint64(1)).astype(np.float64) * 2.0**-53  # (0, 1]
+            u2 = x[1::2].astype(np.float64) * 2.0**-53
+            r = np.sqrt(-2.0 * _math(math.log, u1))
+            theta = 2.0 * math.pi * u2
+            pairs = r * np.array([_math(math.cos, theta), _math(math.sin, theta)])
+            flat[lo:lo + size] = pairs.T.reshape(-1)[:size]
+            if size % 2:
+                self._spare = float(pairs[1, -1])
         return out
 
 

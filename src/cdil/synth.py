@@ -97,18 +97,18 @@ def generate_stream(spec: SynthSpec) -> SessionSequence:
         substream(spec.seed, "subject-deal", t).shuffle(deal_order)
         class_subjects = {name: deal_order[j::len(labels)] for j, name in enumerate(labels)}
 
-        noise_rng = substream(spec.seed, "noise", t)
-        rows, row_labels, row_subjects = [], [], []
-        for name in labels:
-            mean = class_means[name] + session_shift
-            owners = class_subjects[name]
-            for m in range(spec.samples_per_class_per_session):
-                subject = owners[m % len(owners)]
-                noise = spec.noise_sigma * noise_rng.normals(spec.feature_dim)
-                rows.append(mean + subject_shifts[subject] + noise)
-                row_labels.append(registry.index_of(name))
-                row_subjects.append(subject)
-        sample_ids = [f"s{t}-{i:04d}" for i in range(len(rows))]
-        sessions.append(SessionDataset.build(t, rows, row_labels, sample_ids, row_subjects))
+        per_class = range(spec.samples_per_class_per_session)
+        row_names = [name for name in labels for _ in per_class]
+        row_subjects = [class_subjects[name][m % len(class_subjects[name])]
+                        for name in labels for m in per_class]
+        # one noise block in row order holds the draws of one normals(feature_dim) per
+        # row; adding each row's mean to it in place is exact, as a + b == b + a
+        features = substream(spec.seed, "noise", t).normals((len(row_names), spec.feature_dim))
+        features *= spec.noise_sigma
+        for row, name, subject in zip(features, row_names, row_subjects):
+            row += class_means[name] + session_shift + subject_shifts[subject]
+        sample_ids = [f"s{t}-{i:04d}" for i in range(len(row_names))]
+        sessions.append(SessionDataset.build(t, features, list(map(registry.index_of, row_names)),
+                                             sample_ids, row_subjects))
 
     return SessionSequence.build(sessions, registry, spec.feature_dim)

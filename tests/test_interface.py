@@ -618,6 +618,47 @@ class TestCli:
         assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
         assert "trial_3.json: line 4: not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field,value", [
+        ("config.k", "3"), ("config.k", 2.9), ("config.k", True),
+        ("mean_final", "0.5"), ("std_average", None), ("mean_per_session[1]", True),
+    ])
+    def test_report_rejects_a_wrongly_typed_report_field(self, tmp_path, capsys, field, value):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        report = tmp_path / "out" / "report.json"
+        data = json.loads(report.read_text(encoding="utf-8"))
+        if field == "config.k":
+            data["config"]["k"] = value
+        elif field == "mean_per_session[1]":
+            data["mean_per_session"][1] = value
+        else:
+            data[field] = value
+        report.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
+        assert f"error: {report}: field '{field}': must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("learner", "learning_rate", "fast"),
+        ("synthetic", "noise_sigma", -1.0),
+        (None, "k", 1),
+        (None, "protocol", "loso"),
+    ])
+    def test_wrongly_typed_value_names_the_config_file(self, tmp_path, capsys,
+                                                       section, key, value):
+        config = self.run_config(tmp_path)
+        data = json.loads(config.read_text(encoding="utf-8"))
+        target = {"learner": data["learner"], "synthetic": data["data"]["synthetic"],
+                  None: data}[section]
+        target[key] = value
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert f"error: {config}: {key} must be" in capsys.readouterr().err
+
+    def test_bad_flag_value_does_not_blame_the_config_file(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config), "--k", "1"]) == 2
+        assert "error: k must be an integer >= 2, got 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section,key,value", [
         ("learner", "learning_rate", "fast"),
         ("learner", "batch_size", 2.5),

@@ -1,6 +1,15 @@
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cdil import rng as rng_module
 from cdil.rng import Xoshiro256StarStar, derive_seed, substream
 
 
@@ -64,3 +73,70 @@ def test_substreams_are_independent_of_each_other():
     one = substream(17, "noise", 1).normals(8)
     two = substream(17, "noise", 2).normals(8)
     assert not np.allclose(one, two)
+
+
+# Known answers, computed with the one-value-at-a-time generator.
+KAT_U64 = {
+    0: [0x99EC5F36CB75F2B4, 0xBF6E1F784956452A, 0x1A5F849D4933E6E0, 0x6AA594F1262D2D2C,
+        0xBBA5AD4A1F842E59, 0xFFEF8375D9EBCACA, 0x6C160DEED2F54C98, 0x8920AD648FC30A3F],
+    1234: [0x0BAB45D9A0E3AE53, 0xD7C640660C19433E, 0xB0DEDAA0D09A6691, 0xDEC9F41B58EC86EB,
+           0x19E4A6B7ACDA0AE0, 0xE4BC1C79FD36E5CB, 0x737261121DBF96E7, 0x33DC37AB08116070],
+}
+KAT_NORMALS_SHA256 = "153b436d7cd9aa9322f772a24ebe4613297c14a3cac511e21d90075003b89f38"
+
+
+@pytest.mark.parametrize("seed", sorted(KAT_U64))
+def test_first_outputs_known_answer(seed):
+    rng = Xoshiro256StarStar(seed)
+    assert [rng.next_u64() for _ in range(8)] == KAT_U64[seed]
+
+
+def test_block_normals_known_answer():
+    draws = substream(7, "kat").normals(50_000)
+    assert hashlib.sha256(draws.tobytes()).hexdigest() == KAT_NORMALS_SHA256
+
+
+def _state(rng):
+    return repr((rng._s0, rng._s1, rng._s2, rng._s3, rng._spare))
+
+
+# sizes next to the scalar/block threshold, lane multiples and normals chunks
+BOUNDARIES = [0, rng_module._LANE_STEPS, rng_module._MIN_BLOCK, 5 * rng_module._LANE_STEPS
+              + rng_module._MIN_BLOCK, rng_module._CHUNK, 2 * rng_module._CHUNK,
+              3 * rng_module._CHUNK + rng_module._LANE_STEPS // 2]
+SIZES = st.one_of(st.integers(0, 40_000),
+                  st.builds(lambda base, offset: max(0, base + offset),
+                            st.sampled_from(BOUNDARIES), st.integers(-3, 3)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), before=st.integers(0, 3), n=SIZES)
+def test_block_normals_equal_scalar_normals_bitwise(seed, before, n):
+    # an odd number of draws before leaves a spare pending
+    block, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
+    for rng in (block, scalar):
+        for _ in range(before):
+            rng.normal()
+    drawn = block.normals(n)
+    assert drawn.tobytes() == np.array([scalar.normal() for _ in range(n)]).tobytes()
+    assert _state(block) == _state(scalar)
+    assert block.normal() == scalar.normal()
+
+
+@pytest.mark.parametrize("n", [0, 1, rng_module._MIN_BLOCK - 1, rng_module._MIN_BLOCK,
+                               rng_module._MIN_BLOCK + 1, 40 * rng_module._LANE_STEPS,
+                               40 * rng_module._LANE_STEPS + 1, 40 * rng_module._LANE_STEPS + 63,
+                               9999])
+def test_block_u64s_equal_next_u64(n):
+    block, scalar = substream(n, "u64"), substream(n, "u64")
+    assert block._u64s(n).tolist() == [scalar.next_u64() for _ in range(n)]
+    assert _state(block) == _state(scalar)
+
+
+def test_import_builds_no_jump_table():
+    src = str(Path(rng_module.__file__).parents[1])
+    code = "import cdil, cdil.rng; print(len(cdil.rng._JUMPS))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, check=True)
+    assert done.stdout.strip() == "0"
