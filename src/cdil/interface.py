@@ -31,6 +31,7 @@ import csv
 import json
 import logging
 import os
+from array import array
 from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
 from itertools import compress
@@ -159,7 +160,7 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
     expected_header = list(FEATURE_HEADER_FIXED) + [f"f{i}" for i in range(feature_dim)]
     declared = set(entry.label_names)
     ids: list[tuple[str, str, str]] = []  # (sample id, subject id, label name) per row
-    rows: list[list[float]] = []
+    values = array("d")  # the feature rows, end to end
     lines: list[int] = []  # the first physical line of each row
     line_no = 1  # the first line of the record being read
     try:
@@ -192,7 +193,7 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
                         f"label {label_name!r} is not declared for session {entry.name!r}",
                         path=path, line=line_no, field="label")
                 try:
-                    rows.append(list(map(float, row[3:])))
+                    values.extend(map(float, row[3:]))
                 except ValueError:
                     raise DataLoadError("non-numeric feature value",
                                         path=path, line=line_no, field="features") from None
@@ -212,9 +213,9 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
         raise DataLoadError(f"not valid UTF-8: {exc.reason}", path=path,
                             line=raw.count(b"\n", 0, exc.start) + 1) from None
 
-    if not rows:
+    if not ids:
         raise DataLoadError("feature file has no data rows", path=path, line=2)
-    features = np.array(rows, dtype=np.float64)
+    features = np.frombuffer(values, dtype=np.float64).reshape(len(ids), feature_dim)
     non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(non_finite):
         raise DataLoadError("non-finite feature value",
@@ -270,9 +271,9 @@ def write_stream(seq: SessionSequence, out_dir: str | Path,
                             + [f"f{i}" for i in range(seq.feature_dim)])
             for sample_id, subject_id, label, row in zip(
                     session.sample_ids, session.subject_ids, session.labels.tolist(),
-                    session.features.tolist()):
+                    session.features):
                 writer.writerow([sample_id, subject_id, seq.registry.name_of(label)]
-                                + list(map(repr, row)))
+                                + list(map(repr, row.tolist())))
         # class-index order preserves the registry's first-appearance order
         # across a write -> load round trip
         label_names = [seq.registry.name_of(c) for c in sorted(session.label_set)]

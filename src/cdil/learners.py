@@ -25,6 +25,7 @@ model.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
@@ -34,7 +35,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .core import (NumericalError, ProtocolError, check_bool, check_choice, check_int,
                    check_real)
-from .rch import RCHState, softmax_rows
+from .rch import RCHState
 from .rng import derive_seed, substream
 
 FINETUNE = "finetune"
@@ -81,6 +82,7 @@ class Learner(ABC):
     """Contract used by the pipeline: sequential updates, cumulative prediction."""
 
     rch: RCHState
+    feature_dim: int
 
     @abstractmethod
     def update(self, features: np.ndarray, labels: np.ndarray, sample_ids: Sequence[str],
@@ -96,6 +98,19 @@ class Learner(ABC):
     @property
     def known_classes(self) -> frozenset[int]:
         return self.rch.known_classes
+
+    def _training_split(self, features, labels, sample_ids) -> np.ndarray:
+        """The features as float64 (N, d), checked before `update` changes any state."""
+        features = np.asarray(features, dtype=np.float64)
+        n = len(features)
+        if (features.ndim != 2 or features.shape[1] != self.feature_dim
+                or np.shape(labels) != (n,) or len(sample_ids) != n):
+            raise ValueError(
+                f"training split has features {features.shape}, labels {np.shape(labels)} "
+                f"and {len(sample_ids)} sample ids; expected (N, {self.feature_dim}), (N,) and N")
+        if not n:
+            raise ProtocolError("empty training split: a bound fold consumed the whole session")
+        return features
 
     def predict_many(self, features: np.ndarray) -> np.ndarray:
         return self.rch.predict_many(self.transform(features))
@@ -118,16 +133,18 @@ def finetune_loss_and_grads(
     The gradient w.r.t. a remapped row equals the gradient w.r.t. any single
     session's row of that class, because remapping is a per-class sum.
     """
-    batch = features.shape[0]
+    batch, classes = features.shape[0], remap_matrix.shape[0]
+    picked = np.arange(0, batch * classes, classes) + labels_pos  # flat (row, label) entries
     hidden = features @ feature_map.T if feature_map is not None else features
     inputs = _append_bias(hidden) if bias_feature else hidden
     logits = inputs @ remap_matrix.T
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    log_norm = np.log(np.sum(np.exp(shifted), axis=1))
-    log_probs = shifted - log_norm[:, None]
-    loss = float(-np.mean(log_probs[np.arange(batch), labels_pos]))
-    d_logits = softmax_rows(logits)
-    d_logits[np.arange(batch), labels_pos] -= 1.0
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    norm = exp.sum(axis=1, keepdims=True)
+    # the mean log-likelihood, summed and divided as np.mean does
+    loss = -float(np.add.reduce(shifted.take(picked) - np.log(norm[:, 0]))) / batch
+    d_logits = exp / norm  # softmax_rows(logits), bit for bit
+    d_logits.reshape(-1)[picked] -= 1.0
     d_logits /= batch
     d_remap = d_logits.T @ inputs
     d_map = None
@@ -160,8 +177,7 @@ class FinetuneLearner(Learner):
 
     def update(self, features: np.ndarray, labels: np.ndarray, sample_ids: Sequence[str],
                label_set: AbstractSet[int]) -> None:
-        if not len(features):
-            raise ProtocolError("empty training split: a bound fold consumed the whole session")
+        features = self._training_split(features, labels, sample_ids)
         t = self.rch.n_sessions + 1
         rows = None
         if self.cfg.head_init == "gaussian":
@@ -169,10 +185,6 @@ class FinetuneLearner(Learner):
             rows = rng.normals((len(label_set), self.rch.feature_dim)) * self.cfg.head_init_std
         self.rch.add_session(label_set, rows)
 
-        features = np.asarray(features, dtype=np.float64)
-        if features.shape[1] != self.feature_dim:
-            raise ValueError(f"training features have dimension {features.shape[1]}, "
-                             f"expected {self.feature_dim}")
         order = self.rch.class_order
         labels_pos = np.searchsorted(order, labels)
         session_pos = np.searchsorted(order, sorted(label_set))
@@ -180,17 +192,20 @@ class FinetuneLearner(Learner):
         epochs = self.cfg.epochs_first if t == 1 else self.cfg.epochs_later
         shuffle_rng = substream(self._seed, "finetune", self._trial, t, "shuffle")
         indices = list(range(len(features)))
+        size = self.cfg.batch_size
         for epoch in range(epochs):
             shuffle_rng.shuffle(indices)
-            for start in range(0, len(indices), self.cfg.batch_size):
-                batch = indices[start:start + self.cfg.batch_size]
-                self._step(features[batch], labels_pos[batch], t, session_pos, epoch)
+            perm = np.array(indices)  # batches are then contiguous slices of one gather
+            epoch_features, epoch_labels = features[perm], labels_pos[perm]
+            for start in range(0, len(indices), size):
+                self._step(epoch_features[start:start + size],
+                           epoch_labels[start:start + size], t, session_pos, epoch)
 
     def _step(self, batch_features, batch_labels_pos, t, session_pos, epoch) -> None:
         loss, d_remap, d_map = finetune_loss_and_grads(
             batch_features, batch_labels_pos, self.rch.remap(),
             self.feature_map, self.cfg.bias_feature)
-        if not np.isfinite(loss):
+        if not math.isfinite(loss):
             raise NumericalError(
                 f"non-finite loss at session {t}, epoch {epoch}, "
                 f"trial {self._trial} (lr={self.cfg.learning_rate})")
@@ -260,8 +275,7 @@ class PrototypeLearner(Learner):
 
     def update(self, features: np.ndarray, labels: np.ndarray, sample_ids: Sequence[str],
                label_set: AbstractSet[int]) -> None:
-        if not len(features):
-            raise ProtocolError("empty training split: a bound fold consumed the whole session")
+        features = self._training_split(features, labels, sample_ids)
         classes = sorted(label_set)
         cumulative = self.cfg.prototype_stats == "cumulative"
         t = self.rch.add_session(label_set)

@@ -4,9 +4,14 @@ Every session contributes an independent block of head rows, one weight row
 per class present in that session. Prediction remaps the rows into a single
 matrix by summing, per class, the rows of all sessions that contain the
 class, and takes the argmax of the dot products with the feature vector,
-which is the argmax of their softmax. The softmax itself feeds the finetune
-loss. A class that recurs in several sessions therefore keeps one preserved
-row per session, and the sum is its effective classifier.
+which is the argmax of their softmax. A class that recurs in several
+sessions therefore keeps one preserved row per session, and the sum is its
+effective classifier.
+
+Training writes only the newest session's block, once per SGD step, so the
+sum of the frozen sessions 1..n-1 is cached; each remap copies that prefix
+and adds the newest block last, which is the order a full per-class sum in
+session order uses, so the result is the same bit for bit.
 
 Heads carry no bias term; callers that want one append a constant-1 feature
 instead, which keeps the per-class summation semantics uniform.
@@ -27,8 +32,10 @@ class RCHState:
     Session t's rows form one contiguous (n_t, d) block, in sorted class
     order; `_row_class` names the class of every row and `_row_pos` its
     class's position in `class_order`. Blocks are written only through
-    `set_rows` / `add_to_rows`, which invalidate the cached remapped matrix.
-    One RCHState belongs to exactly one trial.
+    `set_rows` / `add_to_rows`, which invalidate the cached remapped matrix,
+    and also `_prefix`, the summed rows of sessions 1..n-1, when they write
+    one of those sessions; `add_session` invalidates both. One RCHState
+    belongs to exactly one trial.
     """
 
     def __init__(self, feature_dim: int):
@@ -40,6 +47,7 @@ class RCHState:
         self._order: tuple[int, ...] = ()
         self._bounds = [0]  # session t owns rows _bounds[t-1]:_bounds[t]
         self._remapped: np.ndarray | None = None
+        self._prefix: np.ndarray | None = None
 
     @property
     def n_sessions(self) -> int:
@@ -68,13 +76,18 @@ class RCHState:
         order, self._row_pos = np.unique(self._row_class, return_inverse=True)
         self._order = tuple(order.tolist())
         self._bounds.append(len(self._row_class))
-        self._remapped = None
+        self._remapped = self._prefix = None
         return self.n_sessions
 
     def _block(self, t: int) -> slice:
         if not 1 <= t <= self.n_sessions:
             raise IndexError(f"session index {t} out of range 1..{self.n_sessions}")
         return slice(self._bounds[t - 1], self._bounds[t])
+
+    def _written(self, t: int) -> None:
+        self._remapped = None
+        if t < self.n_sessions:
+            self._prefix = None
 
     def _checked(self, rows: np.ndarray, n_rows: int, what: str) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
@@ -92,13 +105,13 @@ class RCHState:
         """Overwrite session t's rows with an (n_t, d) array, in class order."""
         block = self._block(t)
         self._rows[block] = self._checked(rows, block.stop - block.start, f"session {t}")
-        self._remapped = None
+        self._written(t)
 
     def add_to_rows(self, t: int, deltas: np.ndarray) -> None:
         """Add an (n_t, d) array to session t's rows, in class order (gradient steps)."""
         block = self._block(t)
         self._rows[block] += self._checked(deltas, block.stop - block.start, f"session {t}")
-        self._remapped = None
+        self._written(t)
 
     def remap(self) -> np.ndarray:
         """Remapped weight matrix, read-only: row i is the summed row of
@@ -110,8 +123,13 @@ class RCHState:
         if self.n_sessions == 0:
             raise ConfigurationError("remap needs at least one session")
         if self._remapped is None:
-            matrix = np.zeros((len(self._order), self.feature_dim))
-            np.add.at(matrix, self._row_pos, self._rows)  # unbuffered: rows added in order
+            last = self._bounds[-2]
+            if self._prefix is None:
+                self._prefix = np.zeros((len(self._order), self.feature_dim))
+                # unbuffered: rows added in order
+                np.add.at(self._prefix, self._row_pos[:last], self._rows[:last])
+            matrix = self._prefix.copy()
+            matrix[self._row_pos[last:]] += self._rows[last:]  # one row per class
             matrix.flags.writeable = False
             self._remapped = matrix
         return self._remapped

@@ -10,7 +10,8 @@ module and numpy's default streams are never used.
 `normals` draws blocks equal bit for bit to `normal()` in a loop: the state
 update is GF(2)-linear, so lanes started by jumps are the sequential stream laid
 end to end; numpy does only what IEEE 754 fixes exactly, and log, sin and cos
-stay on `math`.
+stay on `math`. `shuffle` draws its words as one block too, and falls back to
+one `randbelow` at a time if that block holds a word `randbelow` would reject.
 
 Substreams are derived by hashing an ordered tuple of purpose tags
 (experiment seed, session index, protocol name, ...) with SHA-256 and
@@ -70,6 +71,12 @@ def _step(s: np.ndarray) -> None:
     s[:2] ^= s[3:1:-1]  # s0 ^= s3, s1 ^= s2
     s[2] ^= t
     s[3] = (s[3] << np.uint64(45)) | (s[3] >> np.uint64(19))
+
+
+def _scrambled(s1s: np.ndarray) -> np.ndarray:
+    """The outputs, rotl(s1 * 5, 7) * 9, of the uint64 s1 values of successive steps."""
+    x = s1s * np.uint64(5)
+    return ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
 
 
 def _jump(s: np.ndarray, k: int) -> np.ndarray:
@@ -138,9 +145,21 @@ class Xoshiro256StarStar:
                 return value % n
 
     def shuffle(self, items: MutableSequence) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
+        """In-place Fisher-Yates shuffle, j = randbelow(i + 1) for i = n-1..1.
+
+        All n-1 words are drawn as one block; if `randbelow` would reject any
+        of them, the state is restored and the draws are made one at a time."""
+        n = len(items)
+        saved = self._s0, self._s1, self._s2, self._s3
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        values = self._u64s(max(n - 1, 0))
+        mask = np.uint64(_MASK64)
+        if (values <= mask - mask % bounds).all():
+            picks = (values % bounds).tolist()
+        else:
+            self._s0, self._s1, self._s2, self._s3 = saved
+            picks = [self.randbelow(i + 1) for i in range(n - 1, 0, -1)]
+        for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
     def normal(self) -> float:
@@ -158,8 +177,20 @@ class Xoshiro256StarStar:
 
     def _u64s(self, n: int) -> np.ndarray:
         """The next n outputs, leaving the state where n `next_u64` calls would."""
-        if n < _MIN_BLOCK:
-            return np.array([self.next_u64() for _ in range(n)], dtype=np.uint64)
+        if n < _MIN_BLOCK:  # the `next_u64` step inlined over local ints
+            s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+            s1s = []
+            for _ in range(n):
+                s1s.append(s1)
+                t = (s1 << 17) & _MASK64
+                s2 ^= s0
+                s3 ^= s1
+                s1 ^= s2
+                s0 ^= s3
+                s2 ^= t
+                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+            self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+            return _scrambled(np.array(s1s, dtype=np.uint64))
         lanes = -(-n // _LANE_STEPS)  # lane j starts j * _LANE_STEPS steps on
         s = np.array([[self._s0], [self._s1], [self._s2], [self._s3]], dtype=np.uint64)
         for k in range((lanes - 1).bit_length()):
@@ -170,8 +201,7 @@ class Xoshiro256StarStar:
             _step(s)
             if i == n - (lanes - 1) * _LANE_STEPS:  # the last lane is where the draw ends
                 self._s0, self._s1, self._s2, self._s3 = s[:, -1].tolist()
-        x = s1s.T.reshape(-1)[:n] * np.uint64(5)
-        return ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+        return _scrambled(s1s.T.reshape(-1)[:n])
 
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of standard normal draws in row-major fill order, bit for bit

@@ -52,6 +52,67 @@ def gaussian_blobs(rng, means, per_class, sigma=1.0):
     return np.array(samples), labels
 
 
+def reference_loss_and_grads(features, labels_pos, remap_matrix, feature_map=None,
+                             bias_feature=False):
+    """The two-`exp` cross-entropy and gradients `finetune_loss_and_grads` must
+    reproduce bit for bit: log-softmax for the loss, a separate softmax for the
+    gradient."""
+    batch = features.shape[0]
+    hidden = features @ feature_map.T if feature_map is not None else features
+    inputs = np.hstack([hidden, np.ones((batch, 1))]) if bias_feature else hidden
+    logits = inputs @ remap_matrix.T
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    log_norm = np.log(np.sum(np.exp(shifted), axis=1))
+    log_probs = shifted - log_norm[:, None]
+    loss = float(-np.mean(log_probs[np.arange(batch), labels_pos]))
+    d_logits = softmax_rows(logits)
+    d_logits[np.arange(batch), labels_pos] -= 1.0
+    d_logits /= batch
+    d_remap = d_logits.T @ inputs
+    d_map = None
+    if feature_map is not None:
+        d_hidden = d_logits @ remap_matrix
+        if bias_feature:
+            d_hidden = d_hidden[:, :-1]
+        d_map = d_hidden.T @ features
+    return loss, d_remap, d_map
+
+
+def reference_finetune(sessions, feature_dim, cfg, seed, trial):
+    """The finetune step loop as a plain function, with zero-initialised heads:
+    per-epoch Fisher-Yates on `randbelow`, batches gathered by index lists,
+    a full `np.add.at` remap and the two-`exp` gradients at every step.
+    Returns (per-session head blocks, feature map)."""
+    feature_map = np.eye(feature_dim) if cfg.feature_map else None
+    head_dim = feature_dim + (1 if cfg.bias_feature else 0)
+    session_classes, blocks = [], []
+    for t, (features, labels, label_set) in enumerate(sessions, start=1):
+        classes = sorted(label_set)
+        session_classes.append(classes)
+        blocks.append(np.zeros((len(classes), head_dim)))
+        order = sorted(set().union(*session_classes))
+        row_pos = np.searchsorted(order, np.concatenate(session_classes))
+        labels_pos = np.searchsorted(order, labels)
+        session_pos = np.searchsorted(order, classes)
+        shuffle_rng = substream(seed, "finetune", trial, t, "shuffle")
+        indices = list(range(len(features)))
+        for epoch in range(cfg.epochs_first if t == 1 else cfg.epochs_later):
+            for i in range(len(indices) - 1, 0, -1):
+                j = shuffle_rng.randbelow(i + 1)
+                indices[i], indices[j] = indices[j], indices[i]
+            for start in range(0, len(indices), cfg.batch_size):
+                batch = indices[start:start + cfg.batch_size]
+                remap = np.zeros((len(order), head_dim))
+                np.add.at(remap, row_pos, np.vstack(blocks))
+                loss, d_remap, d_map = reference_loss_and_grads(
+                    features[batch], labels_pos[batch], remap, feature_map, cfg.bias_feature)
+                assert np.isfinite(loss)
+                blocks[-1] += -cfg.learning_rate * d_remap[session_pos]
+                if feature_map is not None:
+                    feature_map = feature_map - cfg.learning_rate * d_map
+    return blocks, feature_map
+
+
 class TestLearnerConfig:
     def test_defaults_valid(self):
         cfg = LearnerConfig()
@@ -178,7 +239,8 @@ class TestFinetune:
                             head_init_std=0.03, bias_feature=True)
         learner = FinetuneLearner(5, cfg, experiment_seed=13, trial_index=2)
         for label_set in ({4, 0, 2}, {2, 7}):
-            learner.update(*columns(rng.normals((4, 5)), sorted(label_set) * 2), label_set)
+            learner.update(*columns(rng.normals((2 * len(label_set), 5)), sorted(label_set) * 2),
+                           label_set)
         for t, n_t in ((1, 3), (2, 2)):
             expected = substream(13, "finetune", 2, t, "head-init").normals((n_t, 6)) * 0.03
             assert np.array_equal(np.array(list(learner.rch.session_rows(t).values())),
@@ -259,6 +321,53 @@ class TestFinetuneGradients:
             learner.rch.set_rows(2, rows)
             numeric = (up - down) / (2 * h)
             assert numeric == pytest.approx(d_remap[1, i], rel=1e-3, abs=1e-7)
+
+
+class TestFinetuneBitExact:
+    def test_loss_and_grads_equal_the_two_exp_formula(self):
+        rng = substream(31, "loss-bits")
+        for _ in range(300):
+            batch, d, n_classes = (rng.randbelow(40) + 1, rng.randbelow(12) + 1,
+                                   rng.randbelow(10) + 1)
+            bias = rng.randbelow(2) == 1
+            scale = 10.0 ** (rng.randbelow(7) - 3)
+            X = rng.normals((batch, d)) * scale
+            y = np.array([rng.randbelow(n_classes) for _ in range(batch)])
+            W = rng.normals((n_classes, d + bias)) * scale
+            F = rng.normals((d, d)) if rng.randbelow(2) else None
+            got = finetune_loss_and_grads(X, y, W, F, bias)
+            expected = reference_loss_and_grads(X, y, W, F, bias)
+            assert np.float64(got[0]).tobytes() == np.float64(expected[0]).tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+            assert (got[2] is None if F is None else got[2].tobytes() == expected[2].tobytes())
+
+    @pytest.mark.parametrize("seed", [7, 23, 58])
+    @pytest.mark.parametrize("bias_feature", [False, True])
+    @pytest.mark.parametrize("feature_map", [False, True])
+    def test_training_equals_the_reference_step_loop(self, seed, bias_feature, feature_map):
+        # a recurring class, a 650-row session (block shuffles past the scalar
+        # threshold) and sizes that leave a short last batch
+        d = 5
+        rng = substream(seed, "bit-exact-stream")
+        means = rng.normals((5, d)) * 2
+        sessions = []
+        for label_set, n in (({0, 1, 2}, 41), ({1, 3}, 650), ({0, 3, 4}, 27)):
+            classes = sorted(label_set)
+            labels = np.array([classes[rng.randbelow(len(classes))] for _ in range(n)])
+            sessions.append((rng.normals((n, d)) + means[labels], labels, label_set))
+        cfg = LearnerConfig(batch_size=8, epochs_first=3, epochs_later=2,
+                            bias_feature=bias_feature, feature_map=feature_map)
+        learner = FinetuneLearner(d, cfg, experiment_seed=seed, trial_index=2)
+        for features, labels, label_set in sessions:
+            learner.update(*columns(features, labels), label_set)
+        blocks, expected_map = reference_finetune(sessions, d, cfg, seed, 2)
+        for t, block in enumerate(blocks, start=1):
+            rows = np.array(list(learner.rch.session_rows(t).values()))
+            assert rows.tobytes() == block.tobytes()
+        if feature_map:
+            assert learner.feature_map.tobytes() == expected_map.tobytes()
+        else:
+            assert learner.feature_map is None and expected_map is None
 
 
 class TestRidgeSolve:
@@ -440,6 +549,23 @@ class TestSharedContract:
             assert learner.known_classes == {0, 1}
             learner.update(*columns(rng.normals((6, 3)), [1, 2] * 3, prefix="b"), {1, 2})
             assert learner.known_classes == {0, 1, 2}
+
+    @pytest.mark.parametrize("variant", ["finetune", "prototype"])
+    def test_rejected_update_leaves_the_learner_unchanged(self, variant):
+        rng = substream(20, "rejected")
+        learner = make_learner(variant, 4, LearnerConfig(epochs_first=2))
+        learner.update(*columns(rng.normals((6, 4)), [0, 1] * 3), {0, 1})
+        head, feature_map = learner.rch.remap().copy(), getattr(learner, "feature_map", None)
+        bad_splits = (columns(rng.normals((3, 5)), [2, 3, 2]),  # feature dimension 5, not 4
+                      columns(rng.normals((3, 4)), [2, 3]),  # two labels for three rows
+                      columns(rng.normals(4), [2, 3, 2, 3]))  # one row, not a matrix
+        for split in bad_splits:
+            with pytest.raises(ValueError, match=r"expected \(N, 4\), \(N,\)"):
+                learner.update(*split, {2, 3})
+            assert learner.rch.n_sessions == 1
+            assert learner.rch.remap().tobytes() == head.tobytes()
+            if variant == "finetune":
+                assert learner.feature_map.tobytes() == feature_map.tobytes()
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -171,6 +171,32 @@ class TestRemap:
                     expected[position[c]] += row
             assert np.array_equal(state.remap(), expected)
 
+    def test_prefix_cache_equals_add_at_after_interleaved_writes(self):
+        # writes to the newest session reuse the cached sum of the earlier
+        # ones; writes to an earlier session and new sessions must drop it
+        rng = Xoshiro256StarStar(777)
+        for _ in range(40):
+            dim = rng.randbelow(5) + 1
+            state = RCHState(dim)
+            for _ in range(30):
+                if state.n_sessions == 0 or rng.randbelow(6) == 0:
+                    classes = {rng.randbelow(7) for _ in range(rng.randbelow(4) + 1)}
+                    state.add_session(classes, rng.normals((len(classes), dim)))
+                else:
+                    t = rng.randbelow(state.n_sessions) + 1
+                    block = rng.normals((len(state.session_rows(t)), dim))
+                    block *= 10.0 ** (rng.randbelow(17) - 8)
+                    write = state.add_to_rows if rng.randbelow(2) else state.set_rows
+                    write(t, block)
+                position = {c: i for i, c in enumerate(state.class_order)}
+                classes = [c for t in range(1, state.n_sessions + 1)
+                           for c in state.session_rows(t)]
+                rows = [row for t in range(1, state.n_sessions + 1)
+                        for row in state.session_rows(t).values()]
+                expected = np.zeros((len(position), dim))
+                np.add.at(expected, [position[c] for c in classes], np.array(rows))
+                assert state.remap().tobytes() == expected.tobytes()
+
     def test_remap_is_read_only(self):
         state = RCHState(2)
         state.add_session({0})

@@ -140,3 +140,49 @@ def test_import_builds_no_jump_table():
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=env, check=True)
     assert done.stdout.strip() == "0"
+
+
+def reference_shuffle(rng, items):
+    """Fisher-Yates with one `randbelow` draw per position."""
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randbelow(i + 1)
+        items[i], items[j] = items[j], items[i]
+
+
+def test_block_shuffle_equals_randbelow_fisher_yates():
+    # one generator pair across every length 0..1500: both `_u64s` paths, and
+    # the state each shuffle leaves is the next one's start
+    block, scalar = substream(3, "shuffle"), substream(3, "shuffle")
+    for n in range(1501):
+        shuffled, expected = list(range(n)), list(range(n))
+        block.shuffle(shuffled)
+        reference_shuffle(scalar, expected)
+        assert shuffled == expected, n
+        assert _state(block) == _state(scalar), n
+
+
+def test_block_shuffle_falls_back_to_randbelow_on_a_rejected_word(monkeypatch):
+    # 2**64 - 1 is past randbelow(10)'s acceptance bound, so the first word of a
+    # 10-item shuffle is rejected: the block is discarded and the state restored
+    u64s, randbelow = Xoshiro256StarStar._u64s, Xoshiro256StarStar.randbelow
+    calls = []
+
+    def poisoned(self, n):
+        words = u64s(self, n)
+        words[0] = np.uint64(2**64 - 1)
+        return words
+
+    def counted(self, n):
+        calls.append(n)
+        return randbelow(self, n)
+
+    monkeypatch.setattr(Xoshiro256StarStar, "_u64s", poisoned)
+    monkeypatch.setattr(Xoshiro256StarStar, "randbelow", counted)
+    block, scalar = substream(4, "reject"), substream(4, "reject")
+    shuffled = list(range(10))
+    block.shuffle(shuffled)
+    assert calls == list(range(10, 1, -1))
+    expected = list(range(10))
+    reference_shuffle(scalar, expected)
+    assert shuffled == expected
+    assert _state(block) == _state(scalar)
