@@ -12,8 +12,15 @@ Interchange formats, chosen to be bit-exactly documentable:
   relative to the manifest file.
 
 * Feature file — UTF-8 CSV with header `sample_id,subject_id,label,f0,...,
-  f{d-1}`, `.` decimal separator, no thousands separators. Floats are
-  written with `repr`, so a write/load round-trip reproduces values exactly.
+  f{d-1}`. A feature value is an ASCII float literal as `float` reads it:
+  `.` decimal separator, no thousands or `_` separators, no non-ASCII digit
+  or space. Floats are written with `repr`, so a write/load round-trip
+  reproduces values exactly. A file with no `"` or NUL, `\n` or `\r\n`
+  line ends and the header's columns on every line, as `write_stream`
+  writes it, is read in bulk: one pass over the lines takes the ids and
+  `np.loadtxt` parses the values. Any other file, and any the bulk checks
+  doubt, is read one CSV record at a time; that loop words every error,
+  naming the file, line and field.
 
 * Report — `report.json` (full-precision machine output plus the config
   echo), `report.txt` (a one-row human table: per-session means, average
@@ -36,6 +43,7 @@ from collections import Counter
 from dataclasses import MISSING, dataclass, fields, replace
 from itertools import compress
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -159,6 +167,78 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
     path = Path(entry.features_path)
     expected_header = list(FEATURE_HEADER_FIXED) + [f"f{i}" for i in range(feature_dim)]
     declared = set(entry.label_names)
+    ids, features = (_bulk_rows(path, expected_header, declared)
+                     or _checked_rows(path, expected_header, declared, entry.name))
+    if not shared_subjects:
+        ids = [(sample_id, f"s{session_index}:{subject_id}", name)
+               for sample_id, subject_id, name in ids]
+
+    counts = Counter(name for _, _, name in ids)
+    kept_names = [name for name in entry.label_names
+                  if counts.get(name, 0) >= entry.min_samples_per_class]
+    dropped = [name for name in entry.label_names if name not in kept_names]
+    for name in dropped:
+        logger.warning("session %s: class %r dropped (%d samples < min %d)",
+                       entry.name, name, counts.get(name, 0),
+                       entry.min_samples_per_class)
+    kept = set(kept_names)
+    keep = [name in kept for _, _, name in ids]
+    if not any(keep):
+        raise DataLoadError("no samples remain after the minimum-count filter", path=path)
+    sample_ids, subject_ids, names = zip(*compress(ids, keep))
+    return SessionDataset.build(session_index, features[keep],
+                                [registry.index_of(name) for name in names],
+                                sample_ids, subject_ids,
+                                label_set={registry.index_of(name) for name in kept_names})
+
+
+# a `"` or NUL needs the CSV reader; `float` rejects the separators 0x1c-0x1f
+# that `np.loadtxt` strips as whitespace
+_ROW_LOOP_CHARS = '"\0\x1c\x1d\x1e\x1f'
+
+
+def _bulk_rows(path: Path, expected_header: list[str], declared: set[str]):
+    """The (ids, features) of a feature file as `write_stream` writes it, or None.
+
+    One pass over the lines takes the id columns and checks that every line
+    ends in a newline, holds exactly the header's columns and no character of
+    `_ROW_LOOP_CHARS`, and that its feature values are ASCII; the ids must be
+    unique and their labels declared. `np.loadtxt` then parses the values,
+    which must be finite. Any other file gives None, not an error: the row
+    loop may reject it, or read it differently."""
+    columns = len(expected_header)
+    header = ",".join(expected_header)
+    ids: list[tuple[str, str, str]] = []
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:  # a bare \r ends a line too
+            if next(fh, "") not in (header + "\r\n", header + "\n"):
+                return None
+            for line in fh:
+                *row_ids, values = line.split(",", 3)
+                if (not line.endswith("\n") or line.count(",") != columns - 1
+                        or not values.isascii()
+                        or any(char in line for char in _ROW_LOOP_CHARS)):
+                    return None
+                ids.append(tuple(row_ids))
+        if not ids:
+            return None
+        sample_ids, _, names = zip(*ids)
+        if len(set(sample_ids)) != len(ids) or not declared.issuperset(names):
+            return None
+        features = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(3, columns),
+                              comments=None, quotechar=None, ndmin=2, encoding="utf-8")
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if features.shape != (len(ids), columns - 3) or not np.isfinite(features).all():
+        return None
+    return ids, features
+
+
+def _checked_rows(path: Path, expected_header: list[str], declared: set[str],
+                  session: str):
+    """The (ids, features) of a feature file, read one CSV record at a time;
+    any fault raises DataLoadError naming the file, line and field."""
+    feature_dim = len(expected_header) - 3
     ids: list[tuple[str, str, str]] = []  # (sample id, subject id, label name) per row
     values = array("d")  # the feature rows, end to end
     lines: list[int] = []  # the first physical line of each row
@@ -190,15 +270,16 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
                 seen_ids.add(sample_id)
                 if label_name not in declared:
                     raise DataLoadError(
-                        f"label {label_name!r} is not declared for session {entry.name!r}",
+                        f"label {label_name!r} is not declared for session {session!r}",
                         path=path, line=line_no, field="label")
+                text = "".join(row[3:])
                 try:
+                    if not text.isascii() or "_" in text:  # `float` reads 1_0 and ١
+                        raise ValueError
                     values.extend(map(float, row[3:]))
                 except ValueError:
                     raise DataLoadError("non-numeric feature value",
                                         path=path, line=line_no, field="features") from None
-                if not shared_subjects:
-                    subject_id = f"s{session_index}:{subject_id}"
                 ids.append((sample_id, subject_id, label_name))
                 lines.append(line_no)
                 line_no = reader.line_num + 1
@@ -220,24 +301,7 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
     if len(non_finite):
         raise DataLoadError("non-finite feature value",
                             path=path, line=lines[non_finite[0]], field="features")
-
-    counts = Counter(name for _, _, name in ids)
-    kept_names = [name for name in entry.label_names
-                  if counts.get(name, 0) >= entry.min_samples_per_class]
-    dropped = [name for name in entry.label_names if name not in kept_names]
-    for name in dropped:
-        logger.warning("session %s: class %r dropped (%d samples < min %d)",
-                       entry.name, name, counts.get(name, 0),
-                       entry.min_samples_per_class)
-    kept = set(kept_names)
-    keep = [name in kept for _, _, name in ids]
-    if not any(keep):
-        raise DataLoadError("no samples remain after the minimum-count filter", path=path)
-    sample_ids, subject_ids, names = zip(*compress(ids, keep))
-    return SessionDataset.build(session_index, features[keep],
-                                [registry.index_of(name) for name in names],
-                                sample_ids, subject_ids,
-                                label_set={registry.index_of(name) for name in kept_names})
+    return ids, features
 
 
 def load_sequence(manifest: Manifest | str | Path) -> SessionSequence:
@@ -261,19 +325,21 @@ def write_stream(seq: SessionSequence, out_dir: str | Path,
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # the text of one CSV record, terminator included: only the ids may need
+    # quoting, as a float's `repr` holds no `,`, `"` or line break
+    record = csv.writer(SimpleNamespace(write=str)).writerow
     session_entries = []
     for session in seq.sessions:
         t = session.session_index
         csv_name = f"session_{t}.csv"
         with open(out_dir / csv_name, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(list(FEATURE_HEADER_FIXED)
-                            + [f"f{i}" for i in range(seq.feature_dim)])
+            fh.write(record(list(FEATURE_HEADER_FIXED)
+                            + [f"f{i}" for i in range(seq.feature_dim)]))
             for sample_id, subject_id, label, row in zip(
                     session.sample_ids, session.subject_ids, session.labels.tolist(),
                     session.features):
-                writer.writerow([sample_id, subject_id, seq.registry.name_of(label)]
-                                + list(map(repr, row.tolist())))
+                ids = record([sample_id, subject_id, seq.registry.name_of(label)])
+                fh.write(f"{ids[:-2]},{','.join(map(repr, row.tolist()))}\r\n")
         # class-index order preserves the registry's first-appearance order
         # across a write -> load round trip
         label_names = [seq.registry.name_of(c) for c in sorted(session.label_set)]

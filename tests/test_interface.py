@@ -356,6 +356,20 @@ class TestLoadSessionFeatures:
         with pytest.raises(DataLoadError, match=r"s\.csv: line 3: field 'features'"):
             load_sequence(load_manifest(path))
 
+    @pytest.mark.parametrize("value", ["1_000", "١", "２.5"])
+    def test_feature_value_outside_ascii_syntax_rejected(self, tmp_path, value):
+        # `float` reads these as 1000.0, 1.0 and 2.5
+        write_feature_csv(tmp_path / "s.csv", 2, [
+            ["x1", "p", "a", "1.0", "2.0"],
+            ["x2", "p", "a", value, "2.0"],
+        ])
+        path = tmp_path / "m.json"
+        write_manifest(path, [{"name": "s", "label_names": ["a"],
+                               "features_path": "s.csv"}])
+        with pytest.raises(DataLoadError, match=r"s\.csv: line 3: field 'features': "
+                                                 r"non-numeric feature value"):
+            load_sequence(load_manifest(path))
+
     def test_non_finite_feature_names_the_physical_line(self, tmp_path):
         # a quoted sample id holding a newline makes record 1 span lines 2 and 3
         write_feature_csv(tmp_path / "s.csv", 2, [

@@ -161,9 +161,24 @@ def test_block_shuffle_equals_randbelow_fisher_yates():
         assert _state(block) == _state(scalar), n
 
 
+@pytest.mark.parametrize("n,blocks", [(0, 0), (2, 0), (rng_module._MIN_BLOCK_SHUFFLE - 1, 0),
+                                      (rng_module._MIN_BLOCK_SHUFFLE, 1), (1500, 1)])
+def test_small_shuffles_skip_the_block_draw(monkeypatch, n, blocks):
+    # the equivalence test above covers both branches' results; this pins which runs
+    u64s, calls = Xoshiro256StarStar._u64s, []
+
+    def counted(self, size):
+        calls.append(size)
+        return u64s(self, size)
+
+    monkeypatch.setattr(Xoshiro256StarStar, "_u64s", counted)
+    substream(5, "branch").shuffle(list(range(n)))
+    assert calls == [n - 1] * blocks
+
+
 def test_block_shuffle_falls_back_to_randbelow_on_a_rejected_word(monkeypatch):
-    # 2**64 - 1 is past randbelow(10)'s acceptance bound, so the first word of a
-    # 10-item shuffle is rejected: the block is discarded and the state restored
+    # 2**64 - 1 is past randbelow(40)'s acceptance bound, so the first word of a
+    # 40-item shuffle is rejected: the block is discarded and the state restored
     u64s, randbelow = Xoshiro256StarStar._u64s, Xoshiro256StarStar.randbelow
     calls = []
 
@@ -179,10 +194,10 @@ def test_block_shuffle_falls_back_to_randbelow_on_a_rejected_word(monkeypatch):
     monkeypatch.setattr(Xoshiro256StarStar, "_u64s", poisoned)
     monkeypatch.setattr(Xoshiro256StarStar, "randbelow", counted)
     block, scalar = substream(4, "reject"), substream(4, "reject")
-    shuffled = list(range(10))
+    shuffled = list(range(40))
     block.shuffle(shuffled)
-    assert calls == list(range(10, 1, -1))
-    expected = list(range(10))
+    assert calls == list(range(40, 1, -1))
+    expected = list(range(40))
     reference_shuffle(scalar, expected)
     assert shuffled == expected
     assert _state(block) == _state(scalar)
