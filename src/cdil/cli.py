@@ -31,11 +31,11 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import ConfigurationError, DataLoadError
+from .core import DataLoadError
 from .learners import VARIANTS, LearnerConfig
 from .pipeline import ExperimentConfig, build_sequence, partition_sequence, run_experiment
-from .interface import (format_report_table, json_object, known, read_json, reaggregate_trials,
-                        write_report, write_stream)
+from .interface import (format_report_table, json_object, known, read_checked, read_json,
+                        reaggregate_trials, replace_file, write_report, write_stream)
 from .splitters import MODES
 from .synth import SynthSpec, generate_stream
 
@@ -58,13 +58,10 @@ def config_from_file(path: str | Path, **overrides) -> ExperimentConfig:
         top["manifest"] = (path.parent / source["manifest"]).resolve()
     if top.get("out") is not None and not isinstance(top["out"], str):
         raise DataLoadError("must be a path string", path=path, field="out")
-    try:
-        if "synthetic" in source:
-            top["synth"] = SynthSpec(**known(source["synthetic"], SynthSpec, path, "data.synthetic"))
-        cfg = ExperimentConfig(
-            learner_config=LearnerConfig(**known(learner, LearnerConfig, path, "learner")), **top)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{path}: {exc}") from None
+    if "synthetic" in source:
+        top["synth"] = read_checked(SynthSpec, source["synthetic"], path, "data.synthetic")
+    top["learner_config"] = read_checked(LearnerConfig, learner, path, "learner")
+    cfg = read_checked(ExperimentConfig, top, path)
     return replace(cfg, **{name: value for name, value in overrides.items() if value is not None})
 
 
@@ -80,10 +77,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    spec = dict(known(read_json(args.spec), SynthSpec, args.spec)) if args.spec else {}
+    spec = read_checked(SynthSpec, read_json(args.spec), args.spec) if args.spec else SynthSpec()
     if args.seed is not None:
-        spec["seed"] = args.seed
-    seq = generate_stream(SynthSpec(**spec))
+        spec = replace(spec, seed=args.seed)
+    seq = generate_stream(spec)
     manifest_path = write_stream(seq, args.out)
     sys.stderr.write(
         f"wrote {seq.n} sessions, {sum(s.size for s in seq.sessions)} samples "
@@ -97,7 +94,7 @@ def _cmd_split(args: argparse.Namespace) -> int:
     assignments = partition_sequence(seq, cfg.k, cfg.seed, cfg.protocol)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+    with replace_file(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["session", "sample_id", "subject_id", "fold"])
         for session, assignment in zip(seq.sessions, assignments):

@@ -135,9 +135,6 @@ class LabelRegistry:
     def __len__(self) -> int:
         return len(self._names)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
 
 @dataclass(frozen=True, eq=False)
 class SessionDataset:
@@ -240,10 +237,3 @@ class SessionSequence:
         for session in self.sessions[:t]:
             space |= session.label_set
         return space
-
-    def sessions_of_class(self, c: int) -> frozenset[int]:
-        """The set of session indices whose label set contains class c."""
-        hits = frozenset(s.session_index for s in self.sessions if c in s.label_set)
-        if not hits:
-            raise KeyError(f"class index {c} does not appear in any session")
-        return hits

@@ -40,6 +40,7 @@ import logging
 import os
 from array import array
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, fields, replace
 from itertools import compress
 from pathlib import Path
@@ -125,9 +126,10 @@ def known(data, allowed, path: str | Path, field: str | None = None) -> dict:
     return data
 
 
-def _read(cls, data, path: Path, field: str | None = None):
-    """The dataclass `cls` built from the JSON object `data`; a bad field raises
-    DataLoadError naming the file and the field."""
+def read_checked(cls, data, path: str | Path, field: str | None = None):
+    """The dataclass `cls` built from the JSON object `data` found at `field` of
+    the file `path`; a bad field raises DataLoadError naming the file and the
+    field, as `<field>.<name>`."""
     try:
         return cls(**known(data, cls, path, field))
     except ConfigurationError as exc:
@@ -140,11 +142,11 @@ def load_manifest(path: str | Path) -> Manifest:
     the manifest and must name a readable file."""
     path = Path(path)
     # `sessions` holds the raw JSON entries until each is read below
-    manifest = _read(Manifest, read_json(path), path)
+    manifest = read_checked(Manifest, read_json(path), path)
     entries: list[SessionEntry] = []
     for i, raw in enumerate(manifest.sessions, start=1):
         where = f"sessions[{i}]"
-        entry = _read(SessionEntry, raw, path, where)
+        entry = read_checked(SessionEntry, raw, path, where)
         if entry.name in {e.name for e in entries}:
             raise DataLoadError(f"duplicate session name {entry.name!r}", path=path,
                                 field=f"{where}.name")
@@ -316,15 +318,18 @@ def load_sequence(manifest: Manifest | str | Path) -> SessionSequence:
     return SessionSequence.build(sessions, registry, manifest.feature_dim)
 
 
-def write_stream(seq: SessionSequence, out_dir: str | Path,
-                 name: str = "synthetic") -> Path:
+def write_stream(seq: SessionSequence, out_dir: str | Path) -> Path:
     """Write a sequence as manifest + per-session CSVs; returns the manifest path.
 
     Subject ids are emitted as-is and the manifest sets `shared_subjects`, so
-    loading reproduces the sequence exactly.
+    loading reproduces the sequence exactly. Every file is written whole or
+    not at all. A stale manifest.json is removed first and the new one is
+    written last, so a write cut short leaves no manifest to load.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    manifest_path = out_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     # the text of one CSV record, terminator included: only the ids may need
     # quoting, as a float's `repr` holds no `,`, `"` or line break
     record = csv.writer(SimpleNamespace(write=str)).writerow
@@ -332,7 +337,7 @@ def write_stream(seq: SessionSequence, out_dir: str | Path,
     for session in seq.sessions:
         t = session.session_index
         csv_name = f"session_{t}.csv"
-        with open(out_dir / csv_name, "w", newline="", encoding="utf-8") as fh:
+        with replace_file(out_dir / csv_name) as fh:
             fh.write(record(list(FEATURE_HEADER_FIXED)
                             + [f"f{i}" for i in range(seq.feature_dim)]))
             for sample_id, subject_id, label, row in zip(
@@ -345,10 +350,9 @@ def write_stream(seq: SessionSequence, out_dir: str | Path,
         label_names = [seq.registry.name_of(c) for c in sorted(session.label_set)]
         session_entries.append({"name": f"session_{t}", "label_names": label_names,
                                 "features_path": csv_name})
-    manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with replace_file(manifest_path) as fh:
         json.dump({
-            "name": name,
+            "name": "synthetic",
             "feature_dim": seq.feature_dim,
             "shared_subjects": True,
             "sessions": session_entries,
@@ -372,19 +376,23 @@ def format_report_table(report: ExperimentReport) -> str:
     return header_line + "\n" + value_line + "\n"
 
 
-def _replace_file(path: Path, text: str) -> None:
-    """Write `text` to a temporary file beside `path`, then rename it into place,
-    so `path` never holds a partial write."""
+@contextmanager
+def replace_file(path: Path):
+    """A UTF-8 text handle on a temporary file beside `path`, renamed into place
+    when the block ends without an exception, so `path` never holds a partial
+    write. Line ends are written as given."""
     temporary = path.with_name(f".{path.name}.tmp")
     try:
-        temporary.write_text(text, encoding="utf-8")
+        with open(temporary, "w", newline="", encoding="utf-8") as fh:
+            yield fh
         os.replace(temporary, path)
     finally:
         temporary.unlink(missing_ok=True)
 
 
-def _json_text(record: dict) -> str:
-    return json.dumps(record, indent=2, sort_keys=True) + "\n"
+def _write_json(path: Path, record: dict) -> None:
+    with replace_file(path) as fh:
+        fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
 def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
@@ -400,10 +408,10 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
     report_path = out_dir / "report.json"
     report_path.unlink(missing_ok=True)
     for trial in report.trials:
-        _replace_file(trials_dir / f"trial_{trial.trial_index}.json",
-                      _json_text(trial.to_dict()))
-    _replace_file(out_dir / "report.txt", format_report_table(report))
-    _replace_file(report_path, _json_text(report.to_dict()))
+        _write_json(trials_dir / f"trial_{trial.trial_index}.json", trial.to_dict())
+    with replace_file(out_dir / "report.txt") as fh:
+        fh.write(format_report_table(report))
+    _write_json(report_path, report.to_dict())
     return report_path
 
 

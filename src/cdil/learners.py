@@ -215,10 +215,9 @@ class FinetuneLearner(Learner):
             self.feature_map = self.feature_map - lr * d_map
 
 
-def ridge_solve(gram: np.ndarray, targets: np.ndarray, lam: float, *,
-                return_residual: bool = False):
+def ridge_solve(gram: np.ndarray, targets: np.ndarray, lam: float):
     """Solve (gram + lam*I) W = targets via Cholesky and verify the residual;
-    with `return_residual`, return (W, the residual norm the check used)."""
+    return (W, the residual norm the check used)."""
     m = gram.shape[0]
     system = gram + lam * np.eye(m)
     solution = cho_solve(cho_factor(system), targets)
@@ -228,7 +227,7 @@ def ridge_solve(gram: np.ndarray, targets: np.ndarray, lam: float, *,
     if residual > bound and residual > 1e-12:
         raise NumericalError(
             f"ridge solve residual {residual:.3e} exceeds tolerance {bound:.3e}")
-    return (solution, residual) if return_residual else solution
+    return solution, residual
 
 
 def class_statistics(hidden: np.ndarray,
@@ -295,8 +294,7 @@ class PrototypeLearner(Learner):
 
         absent = np.zeros(self.head_dim)
         targets = np.stack([sums.get(c, absent) for c in classes], axis=1)
-        solution, self.last_residual = ridge_solve(
-            gram, targets, self.cfg.ridge_lambda, return_residual=True)
+        solution, self.last_residual = ridge_solve(gram, targets, self.cfg.ridge_lambda)
         rows = solution.T
         if cumulative:
             # Session t's rows are still zero, so remap() sums the earlier

@@ -28,7 +28,7 @@ class TrialResult:
     def __post_init__(self):
         check_int("trial_index", self.trial_index, 1)
         for name in ("correct", "total"):
-            counts = check_list(name, getattr(self, name))
+            counts = check_list(name, getattr(self, name), 1)
             for i, count in enumerate(counts):
                 check_int(f"{name}[{i}]", count, 0)
             object.__setattr__(self, name, counts)
@@ -63,15 +63,11 @@ class TrialResult:
 
 def final_accuracy(result: TrialResult) -> float:
     """Accuracy after the last session."""
-    if result.n_sessions == 0:
-        raise ProtocolError("trial has no session accuracies")
     return result.per_session_accuracy[-1]
 
 
 def average_accuracy(result: TrialResult) -> float:
     """Mean of the per-session accuracies."""
-    if result.n_sessions == 0:
-        raise ProtocolError("trial has no session accuracies")
     acc = result.per_session_accuracy
     return sum(acc) / len(acc)
 

@@ -9,7 +9,7 @@ sessions therefore keeps one preserved row per session, and the sum is its
 effective classifier.
 
 Training writes only the newest session's block, once per SGD step, so the
-sum of the frozen sessions 1..n-1 is cached; each remap copies that prefix
+sum of the frozen sessions 1..n-1 is kept; each remap copies that prefix
 and adds the newest block last, which is the order a full per-class sum in
 session order uses, so the result is the same bit for bit.
 
@@ -27,15 +27,14 @@ from .core import ConfigurationError, check_int
 
 
 class RCHState:
-    """All head rows of one learner in one (R, d) array, with cached remapping.
+    """All head rows of one learner in one (R, d) array.
 
     Session t's rows form one contiguous (n_t, d) block, in sorted class
     order; `_row_class` names the class of every row and `_row_pos` its
-    class's position in `class_order`. Blocks are written only through
-    `set_rows` / `add_to_rows`, which invalidate the cached remapped matrix,
-    and also `_prefix`, the summed rows of sessions 1..n-1, when they write
-    one of those sessions; `add_session` invalidates both. One RCHState
-    belongs to exactly one trial.
+    class's position in `class_order`. `_prefix` holds the summed rows of
+    sessions 1..n-1; `set_rows` / `add_to_rows` drop it when they write one
+    of those sessions, and `add_session` always does. One RCHState belongs to
+    exactly one trial.
     """
 
     def __init__(self, feature_dim: int):
@@ -46,7 +45,6 @@ class RCHState:
         self._row_pos = self._row_class
         self._order: tuple[int, ...] = ()
         self._bounds = [0]  # session t owns rows _bounds[t-1]:_bounds[t]
-        self._remapped: np.ndarray | None = None
         self._prefix: np.ndarray | None = None
 
     @property
@@ -76,7 +74,7 @@ class RCHState:
         order, self._row_pos = np.unique(self._row_class, return_inverse=True)
         self._order = tuple(order.tolist())
         self._bounds.append(len(self._row_class))
-        self._remapped = self._prefix = None
+        self._prefix = None
         return self.n_sessions
 
     def _block(self, t: int) -> slice:
@@ -85,7 +83,6 @@ class RCHState:
         return slice(self._bounds[t - 1], self._bounds[t])
 
     def _written(self, t: int) -> None:
-        self._remapped = None
         if t < self.n_sessions:
             self._prefix = None
 
@@ -114,7 +111,7 @@ class RCHState:
         self._written(t)
 
     def remap(self) -> np.ndarray:
-        """Remapped weight matrix, read-only: row i is the summed row of
+        """A new read-only remapped weight matrix: row i is the summed row of
         class_order[i].
 
         Summation runs in session order starting from zeros, so appending an
@@ -122,17 +119,15 @@ class RCHState:
         """
         if self.n_sessions == 0:
             raise ConfigurationError("remap needs at least one session")
-        if self._remapped is None:
-            last = self._bounds[-2]
-            if self._prefix is None:
-                self._prefix = np.zeros((len(self._order), self.feature_dim))
-                # unbuffered: rows added in order
-                np.add.at(self._prefix, self._row_pos[:last], self._rows[:last])
-            matrix = self._prefix.copy()
-            matrix[self._row_pos[last:]] += self._rows[last:]  # one row per class
-            matrix.flags.writeable = False
-            self._remapped = matrix
-        return self._remapped
+        last = self._bounds[-2]
+        if self._prefix is None:
+            self._prefix = np.zeros((len(self._order), self.feature_dim))
+            # unbuffered: rows added in order
+            np.add.at(self._prefix, self._row_pos[:last], self._rows[:last])
+        matrix = self._prefix.copy()
+        matrix[self._row_pos[last:]] += self._rows[last:]  # one row per class
+        matrix.flags.writeable = False
+        return matrix
 
     def predict_many(self, features: np.ndarray) -> np.ndarray:
         """Predicted class index per row of `features` (shape (N, d)); ties

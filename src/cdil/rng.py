@@ -132,10 +132,6 @@ class Xoshiro256StarStar:
         self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
         return result
 
-    def random(self) -> float:
-        """Uniform float64 in [0, 1), using the top 53 bits."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
         if n <= 0:

@@ -36,7 +36,6 @@ class FoldAssignment:
     session_index: int
     k: int
     mode: str
-    seed: int
     folds: np.ndarray
 
     def __post_init__(self):
@@ -65,7 +64,7 @@ def slcv_partition(session: SessionDataset, k: int, seed: int) -> FoldAssignment
     subjects = sorted(session.subjects)
     subject_fold = dict(zip(subjects, _deal(subjects, k, seed).tolist()))
     folds = np.array([subject_fold[s] for s in session.subject_ids], dtype=np.int64)
-    return FoldAssignment(session.session_index, k, SLCV, seed, folds)
+    return FoldAssignment(session.session_index, k, SLCV, folds)
 
 
 def ilcv_partition(session: SessionDataset, k: int, seed: int) -> FoldAssignment:
@@ -75,7 +74,7 @@ def ilcv_partition(session: SessionDataset, k: int, seed: int) -> FoldAssignment
         raise ConfigurationError(
             f"session {session.session_index}: fewer samples than folds "
             f"({session.size} < {k})")
-    return FoldAssignment(session.session_index, k, ILCV, seed,
+    return FoldAssignment(session.session_index, k, ILCV,
                           _deal(session.sample_ids, k, seed))
 
 

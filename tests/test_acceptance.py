@@ -263,7 +263,7 @@ def test_criterion_06_ridge_solve_residual():
         G = B @ B.T
         C = rng.normals((m, rng.randbelow(5) + 1))
         lam = 10.0 ** (rng.randbelow(5) - 2)
-        W = ridge_solve(G, C, lam)
+        W, _ = ridge_solve(G, C, lam)
         residual = np.linalg.norm((G + lam * np.eye(m)) @ W - C)
         bound = 1e-8 * (np.linalg.norm(G) + lam) * np.linalg.norm(W)
         worst_ratio = max(worst_ratio, residual / bound if bound else 0.0)

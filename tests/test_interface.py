@@ -5,6 +5,7 @@ import re
 import shutil
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -441,6 +442,29 @@ class TestStreamRoundTrip:
             assert np.array_equal(back.labels, orig.labels)
             assert np.array_equal(back.features, orig.features)
 
+    def test_interrupted_rewrite_leaves_no_manifest(self, tmp_path):
+        # a second stream cut short after its first session must not leave the
+        # first stream's manifest over a mix of both streams' sessions
+        def spec(seed):
+            return SynthSpec(session_label_sets=(("a", "b"), ("b", "c")), feature_dim=3,
+                             samples_per_class_per_session=4, subjects_per_session=2,
+                             seed=seed)
+
+        out = tmp_path / "stream"
+        manifest = write_stream(generate_stream(spec(1)), out)
+        second = generate_stream(spec(2))
+
+        def interrupted():
+            yield second.session(1)
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            write_stream(SimpleNamespace(sessions=interrupted(), registry=second.registry,
+                                         feature_dim=second.feature_dim), out)
+        with pytest.raises(DataLoadError, match="manifest.json: file not found"):
+            load_sequence(manifest)
+        assert not list(out.glob("*.tmp"))
+
 
 class TestReports:
     def make_report(self):
@@ -614,6 +638,17 @@ class TestCli:
         assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
         assert f"error: {trial}: field 'correct" in capsys.readouterr().err
 
+    def test_report_rejects_empty_count_vectors(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        for trial in (tmp_path / "out" / "trials").glob("trial_*.json"):
+            data = json.loads(trial.read_text(encoding="utf-8"))
+            data["correct"] = data["total"] = []
+            trial.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
+        first = tmp_path / "out" / "trials" / "trial_1.json"
+        assert f"error: {first}: field 'correct': must be a list" in capsys.readouterr().err
+
     def test_split_exits_2_on_a_manifest_key_typo(self, tmp_path, capsys, toy_dataset):
         manifest = json.loads(toy_dataset.read_text(encoding="utf-8"))
         manifest["sessions"][0]["min_sample_per_class"] = 99
@@ -666,7 +701,8 @@ class TestCli:
         target[key] = value
         config.write_text(json.dumps(data), encoding="utf-8")
         assert cli_main(["run", "--config", str(config)]) == 2
-        assert f"error: {config}: {key} must be" in capsys.readouterr().err
+        field = {"learner": "learner.", "synthetic": "data.synthetic.", None: ""}[section] + key
+        assert f"error: {config}: field '{field}': must be" in capsys.readouterr().err
 
     def test_bad_flag_value_does_not_blame_the_config_file(self, tmp_path, capsys):
         config = self.run_config(tmp_path)
@@ -692,7 +728,8 @@ class TestCli:
         target[key] = value
         config.write_text(json.dumps(data), encoding="utf-8")
         assert cli_main(["run", "--config", str(config)]) == 2
-        assert f"{key} must be" in capsys.readouterr().err
+        field = {"learner": "learner.", "synthetic": "data.synthetic.", None: ""}[section] + key
+        assert f"field '{field}': must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key,value,field", [
         (None, [1], None),
@@ -740,6 +777,14 @@ class TestCli:
         spec_path.write_text(json.dumps({"feature_dimm": 4}), encoding="utf-8")
         assert cli_main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
         assert (f"error: {spec_path}: unknown key(s) ['feature_dimm']"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "d").exists()
+
+    def test_synth_spec_bad_value_exits_2_naming_the_file_and_field(self, tmp_path, capsys):
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"noise_sigma": -1.0}), encoding="utf-8")
+        assert cli_main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
+        assert (f"error: {spec_path}: field 'noise_sigma': must be a finite number >= 0"
                 in capsys.readouterr().err)
         assert not (tmp_path / "d").exists()
 

@@ -380,7 +380,7 @@ class TestRidgeSolve:
             G = B @ B.T
             C = rng.normals((m, ncols))
             lam = 10.0 ** (rng.randbelow(5) - 2)
-            W = ridge_solve(G, C, lam)
+            W, _ = ridge_solve(G, C, lam)
             residual = np.linalg.norm((G + lam * np.eye(m)) @ W - C)
             assert residual <= 1e-8 * (np.linalg.norm(G) + lam) * np.linalg.norm(W)
 
@@ -390,7 +390,7 @@ class TestRidgeSolve:
         B = rng.normals((m, m))
         G = B @ B.T
         C = rng.normals((m, 3))
-        W = ridge_solve(G, C, 1e9)
+        W, _ = ridge_solve(G, C, 1e9)
         assert np.linalg.norm(W) <= 1e-6 * np.linalg.norm(C)
 
 
@@ -520,7 +520,7 @@ class TestPrototype:
         order = learner.rch.class_order
         for c in (1, 2, 3):  # classes of the latest session
             target = H[yall == c].sum(axis=0)
-            expected = ridge_solve(G, target, learner.cfg.ridge_lambda)
+            expected, _ = ridge_solve(G, target, learner.cfg.ridge_lambda)
             assert np.allclose(matrix[order.index(c)], expected, atol=1e-9)
 
 

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdil.core import ProtocolError
+from cdil.core import ConfigurationError, ProtocolError
 from cdil.metrics import (ExperimentReport, TrialResult, aggregate,
                           average_accuracy, final_accuracy)
 
@@ -60,6 +60,8 @@ class TestTrialResult:
             TrialResult(trial_index=1, correct=(5,), total=(4,))
         with pytest.raises(ProtocolError):
             TrialResult(trial_index=1, correct=(1, 2), total=(4,))
+        with pytest.raises(ConfigurationError, match="correct must be a list of length >= 1"):
+            TrialResult(trial_index=1, correct=(), total=())
 
     def test_round_trips_through_dict(self):
         trial = TrialResult(trial_index=2, correct=(3, 7), total=(4, 9))

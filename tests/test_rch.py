@@ -172,8 +172,9 @@ class TestRemap:
             assert np.array_equal(state.remap(), expected)
 
     def test_prefix_cache_equals_add_at_after_interleaved_writes(self):
-        # writes to the newest session reuse the cached sum of the earlier
-        # ones; writes to an earlier session and new sessions must drop it
+        # writes to the newest session reuse the kept sum of the earlier
+        # ones; writes to an earlier session and new sessions must drop it;
+        # a second remap with no write between returns an equal, new array
         rng = Xoshiro256StarStar(777)
         for _ in range(40):
             dim = rng.randbelow(5) + 1
@@ -195,7 +196,11 @@ class TestRemap:
                         for row in state.session_rows(t).values()]
                 expected = np.zeros((len(position), dim))
                 np.add.at(expected, [position[c] for c in classes], np.array(rows))
-                assert state.remap().tobytes() == expected.tobytes()
+                first = state.remap()
+                assert first.tobytes() == expected.tobytes()
+                again = state.remap()
+                assert again.tobytes() == first.tobytes()
+                assert not np.shares_memory(again, first)
 
     def test_remap_is_read_only(self):
         state = RCHState(2)

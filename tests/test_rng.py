@@ -31,13 +31,6 @@ def test_derive_seed_is_order_and_boundary_sensitive():
     assert derive_seed(7, "x") == derive_seed(7, "x")
 
 
-def test_random_range():
-    rng = Xoshiro256StarStar(99)
-    draws = [rng.random() for _ in range(2000)]
-    assert all(0.0 <= u < 1.0 for u in draws)
-    assert 0.4 < float(np.mean(draws)) < 0.6
-
-
 def test_randbelow_covers_all_residues():
     rng = Xoshiro256StarStar(5)
     counts = [0] * 7
