@@ -51,6 +51,9 @@ def config_from_file(path: str | Path, **overrides) -> ExperimentConfig:
     learner = dict(json_object(top.pop("learner", {}), path, "learner"))
     if "variant" in learner:
         top["learner"] = learner.pop("variant")
+        if top["learner"] not in VARIANTS:
+            raise DataLoadError(f"must be one of {VARIANTS}, got {top['learner']!r}",
+                                path=path, field="learner.variant")
     source = known(top.pop("data", {}), ("synthetic", "manifest"), path, "data")
     if "manifest" in source:
         if not isinstance(source["manifest"], str):

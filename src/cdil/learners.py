@@ -7,7 +7,8 @@ Two variants mirror the benchmark's baselines at linear desk scale:
   fine-tuned backbone) plus the current session's head rows, trained with
   mini-batch SGD on cross-entropy over the full cumulative label space.
   Earlier sessions' head rows are frozen; forgetting enters through the
-  shared feature map and through new rows competing in the softmax.
+  shared feature map and through new rows competing in the softmax. The k
+  trials of an experiment train stacked, bit for bit as each would alone.
 
 * ``prototype`` — a frozen random projection followed by a nonlinearity,
   with per-session second-moment and per-class sum statistics solved by
@@ -117,7 +118,7 @@ class Learner(ABC):
 
 
 def _append_bias(rows: np.ndarray) -> np.ndarray:
-    return np.hstack([rows, np.ones((rows.shape[0], 1))])
+    return np.concatenate([rows, np.ones(rows.shape[:-1] + (1,))], axis=-1)
 
 
 def finetune_loss_and_grads(
@@ -126,34 +127,53 @@ def finetune_loss_and_grads(
     remap_matrix: np.ndarray,
     feature_map: np.ndarray | None = None,
     bias_feature: bool = False,
-) -> tuple[float, np.ndarray, np.ndarray | None]:
-    """Cross-entropy over the remapped logits, with analytic gradients.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Cross-entropy over the remapped logits, with analytic gradients, for k
+    trials: features (k, b, d), labels_pos (k, b), remap_matrix (k, C, h) and
+    feature_map (k, d, d) or None; one trial's arrays may drop the k axis.
 
-    Returns (loss, d_loss/d_remap_row per class, d_loss/d_feature_map or None).
-    The gradient w.r.t. a remapped row equals the gradient w.r.t. any single
-    session's row of that class, because remapping is a per-class sum.
-    """
-    batch, classes = features.shape[0], remap_matrix.shape[0]
-    picked = np.arange(0, batch * classes, classes) + labels_pos  # flat (row, label) entries
-    hidden = features @ feature_map.T if feature_map is not None else features
+    Returns (losses, d_loss/d_remap_row per class, d_loss/d_feature_map or None),
+    each trial's slice bit for bit a one-trial call: a matmul is one BLAS call
+    per trial and a reduction runs along the last axis. The gradient w.r.t. a
+    remapped row equals the gradient w.r.t. any single session's row of that
+    class, because remapping is a per-class sum."""
+    batch, classes = features.shape[-2], remap_matrix.shape[-2]
+    # flat (trial, row, label) entries
+    picked = labels_pos + classes * np.arange(labels_pos.size).reshape(labels_pos.shape)
+    hidden = features @ feature_map.swapaxes(-1, -2) if feature_map is not None else features
     inputs = _append_bias(hidden) if bias_feature else hidden
-    logits = inputs @ remap_matrix.T
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    logits = inputs @ remap_matrix.swapaxes(-1, -2)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    norm = exp.sum(axis=1, keepdims=True)
+    norm = exp.sum(axis=-1, keepdims=True)
     # the mean log-likelihood, summed and divided as np.mean does
-    loss = -float(np.add.reduce(shifted.take(picked) - np.log(norm[:, 0]))) / batch
-    d_logits = exp / norm  # softmax_rows(logits), bit for bit
+    loss = -np.add.reduce(shifted.take(picked) - np.log(norm[..., 0]), axis=-1) / batch
+    d_logits = exp / norm  # the softmax of the logits
     d_logits.reshape(-1)[picked] -= 1.0
     d_logits /= batch
-    d_remap = d_logits.T @ inputs
+    d_remap = d_logits.swapaxes(-1, -2) @ inputs
     d_map = None
     if feature_map is not None:
         d_hidden = d_logits @ remap_matrix
         if bias_feature:
-            d_hidden = d_hidden[:, :-1]
-        d_map = d_hidden.T @ features
+            d_hidden = d_hidden[..., :-1]
+        d_map = d_hidden.swapaxes(-1, -2) @ features
     return loss, d_remap, d_map
+
+
+def finetune_step(features, labels_pos, frozen, heads, maps, session_pos, lr: float,
+                  bias_feature: bool = False):
+    """One SGD step of k trials, remapping as `RCHState.remap` does: `heads`
+    (k, n_t, h) added at `session_pos` to the frozen prefixes (k, C, h). Updates
+    `heads` and the feature maps `maps` (k, d, d) or None in place; returns the losses."""
+    remap = frozen.copy()
+    remap[:, session_pos] += heads
+    loss, d_remap, d_map = finetune_loss_and_grads(features, labels_pos, remap, maps,
+                                                   bias_feature)
+    heads += -lr * d_remap[:, session_pos]
+    if maps is not None:
+        maps -= lr * d_map
+    return loss
 
 
 class FinetuneLearner(Learner):
@@ -177,42 +197,72 @@ class FinetuneLearner(Learner):
 
     def update(self, features: np.ndarray, labels: np.ndarray, sample_ids: Sequence[str],
                label_set: AbstractSet[int]) -> None:
-        features = self._training_split(features, labels, sample_ids)
-        t = self.rch.n_sessions + 1
+        train_finetune([self], [(features, labels, sample_ids)], label_set)
+
+
+def train_finetune(learners: Sequence[FinetuneLearner], splits: Sequence[tuple],
+                   label_set: AbstractSet[int]) -> None:
+    """Train k finetune learners of one config and one session history, each
+    on its (features, labels, sample_ids) split of the next session. Shuffles
+    and initial head blocks come from each trial's own substreams. At each
+    batch start, the trials whose batches are equally long step in one
+    `finetune_step` call, so each learner ends bit for bit as if trained alone."""
+    first, cfg = learners[0], learners[0].cfg
+    features = [learner._training_split(*split) for learner, split in zip(learners, splits)]
+    t = first.rch.n_sessions + 1
+    for learner in learners:
         rows = None
-        if self.cfg.head_init == "gaussian":
-            rng = substream(self._seed, "finetune", self._trial, t, "head-init")
-            rows = rng.normals((len(label_set), self.rch.feature_dim)) * self.cfg.head_init_std
-        self.rch.add_session(label_set, rows)
-
-        order = self.rch.class_order
-        labels_pos = np.searchsorted(order, labels)
-        session_pos = np.searchsorted(order, sorted(label_set))
-
-        epochs = self.cfg.epochs_first if t == 1 else self.cfg.epochs_later
-        shuffle_rng = substream(self._seed, "finetune", self._trial, t, "shuffle")
-        indices = list(range(len(features)))
-        size = self.cfg.batch_size
-        for epoch in range(epochs):
-            shuffle_rng.shuffle(indices)
-            perm = np.array(indices)  # batches are then contiguous slices of one gather
-            epoch_features, epoch_labels = features[perm], labels_pos[perm]
-            for start in range(0, len(indices), size):
-                self._step(epoch_features[start:start + size],
-                           epoch_labels[start:start + size], t, session_pos, epoch)
-
-    def _step(self, batch_features, batch_labels_pos, t, session_pos, epoch) -> None:
-        loss, d_remap, d_map = finetune_loss_and_grads(
-            batch_features, batch_labels_pos, self.rch.remap(),
-            self.feature_map, self.cfg.bias_feature)
-        if not math.isfinite(loss):
-            raise NumericalError(
-                f"non-finite loss at session {t}, epoch {epoch}, "
-                f"trial {self._trial} (lr={self.cfg.learning_rate})")
-        lr = self.cfg.learning_rate
-        self.rch.add_to_rows(t, -lr * d_remap[session_pos])
-        if self.feature_map is not None:
-            self.feature_map = self.feature_map - lr * d_map
+        if cfg.head_init == "gaussian":
+            rng = substream(learner._seed, "finetune", learner._trial, t, "head-init")
+            rows = rng.normals((len(label_set), learner.rch.feature_dim)) * cfg.head_init_std
+        learner.rch.add_session(label_set, rows)
+    order = first.rch.class_order
+    session_pos = np.searchsorted(order, sorted(label_set))
+    prefix = np.stack([learner.rch.frozen() for learner in learners])
+    heads = np.stack([learner.rch.rows(t) for learner in learners])
+    maps = np.stack([learner.feature_map for learner in learners]) if cfg.feature_map else None
+    # the splits padded to the longest; a padded row is never in a batch
+    sizes = np.array([len(split) for split in features])
+    k, longest, size = len(learners), int(sizes.max()), cfg.batch_size
+    padded = np.zeros((k, longest, first.feature_dim))
+    labels_pos = np.zeros((k, longest), dtype=np.intp)
+    for i, (split, (_, labels, _)) in enumerate(zip(features, splits)):
+        padded[i, :sizes[i]] = split
+        labels_pos[i, :sizes[i]] = np.searchsorted(order, labels)
+    steps = []  # (batch rows, the trials whose batch there has that many rows)
+    for start in range(0, longest, size):
+        lengths = np.minimum(sizes - start, size)
+        for b in sorted(set(lengths[lengths > 0].tolist())):
+            group = np.flatnonzero(lengths == b)
+            steps.append((slice(start, start + b), slice(None) if len(group) == k else group))
+    trials = np.array([learner._trial for learner in learners])
+    shufflers = [substream(learner._seed, "finetune", learner._trial, t, "shuffle")
+                 for learner in learners]
+    indices = [list(range(n)) for n in sizes.tolist()]
+    perm, trial_axis = np.zeros((k, longest), dtype=np.intp), np.arange(k)[:, None]
+    lr = cfg.learning_rate
+    for epoch in range(cfg.epochs_first if t == 1 else cfg.epochs_later):
+        for i, (rng, order_i) in enumerate(zip(shufflers, indices)):
+            rng.shuffle(order_i)
+            perm[i, :sizes[i]] = order_i
+        # batches are then slices of one gather
+        epoch_features, epoch_labels = padded[trial_axis, perm], labels_pos[trial_axis, perm]
+        for batch, group in steps:
+            head, fmap = heads[group], None if maps is None else maps[group]
+            loss = finetune_step(epoch_features[group, batch], epoch_labels[group, batch],
+                                 prefix[group], head, fmap, session_pos, lr, cfg.bias_feature)
+            if not math.isfinite(loss.max()):
+                raise NumericalError(
+                    f"non-finite loss at session {t}, epoch {epoch}, "
+                    f"trial {trials[group][~np.isfinite(loss)][0]} (lr={lr})")
+            if not isinstance(group, slice):  # fancy indexing copied them
+                heads[group] = head
+                if maps is not None:
+                    maps[group] = fmap
+    for i, learner in enumerate(learners):
+        learner.rch.set_rows(t, heads[i])
+        if maps is not None:
+            learner.feature_map = maps[i]
 
 
 def ridge_solve(gram: np.ndarray, targets: np.ndarray, lam: float):
@@ -261,7 +311,8 @@ class PrototypeLearner(Learner):
                            else draw_projection(feature_dim, cfg, experiment_seed))
         self.head_dim = self.projection.shape[0] + (1 if cfg.bias_feature else 0)
         self.rch = RCHState(self.head_dim)
-        self._cumulative_gram = np.zeros((self.head_dim, self.head_dim))
+        self._cumulative_gram = (np.zeros((self.head_dim, self.head_dim))
+                                 if cfg.prototype_stats == "cumulative" else None)
         self._cumulative_sums: dict[int, np.ndarray] = {}
         self.last_residual: float = 0.0
 

@@ -6,8 +6,10 @@ training split of each session in turn and, after each session, is evaluated
 on the union of the bound test folds of every session seen so far. A k-fold
 experiment runs exactly k such trials (one per fold index), so the total
 number of session evaluations is k*n rather than a cross-session product.
-Trials run one after another in trial-index order, so every run is sequential
-and deterministic.
+Trials run session-major: each session trains every trial's learner, then
+evaluates each in trial-index order. Finetune trials take their SGD steps
+stacked over a leading trial axis, bit for bit as each would alone, so every
+run is sequential and deterministic.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 from . import interface
 from .core import (ConfigurationError, ProtocolError, SessionSequence, check_bool,
                    check_choice, check_int)
-from .learners import (PROTOTYPE, VARIANTS, LearnerConfig, Learner, config_with_defaults,
-                       draw_projection, make_learner)
+from .learners import (FINETUNE, PROTOTYPE, VARIANTS, LearnerConfig, Learner,
+                       config_with_defaults, draw_projection, make_learner, train_finetune)
 from .metrics import ExperimentReport, TrialResult, aggregate
 from .rng import derive_seed
 from .splitters import FoldAssignment, MODES, bind_folds, partition
@@ -85,53 +87,78 @@ def run_session(learner: Learner, seq: SessionSequence, test_masks: Sequence[np.
                 t: int) -> tuple[int, int]:
     """Train on the rows of session t outside its test mask, then evaluate on
     the masked rows of sessions 1..t; returns (correct, total)."""
+    return _run_session([learner], seq, [test_masks], t)[0]
+
+
+def _run_session(learners: Sequence[Learner], seq: SessionSequence,
+                 test_masks: Sequence[Sequence[np.ndarray]], t: int,
+                 train: Callable | None = None) -> list[tuple[int, int]]:
+    """Session t of every trial: train each learner on its own split, through
+    `train(learners, splits, label_set)` or one `update` each; then evaluate each."""
     session = seq.session(t)
-    train = ~test_masks[t - 1]
-    if not train.any():
-        raise ProtocolError(f"session {t}: empty training split")
-    labels = session.labels[train]
-    for c in sorted(session.label_set - set(labels.tolist())):
-        logger.warning(
-            "session %d: class %d has no training samples in the bound split; "
-            "nothing trains it this session", t, c)
-
-    learner.update(session.features[train], labels,
-                   tuple(compress(session.sample_ids, train)), session.label_set)
-
+    splits = []
+    for masks in test_masks:
+        rows = ~masks[t - 1]
+        if not rows.any():
+            raise ProtocolError(f"session {t}: empty training split")
+        labels = session.labels[rows]
+        for c in sorted(session.label_set - set(labels.tolist())):
+            logger.warning(
+                "session %d: class %d has no training samples in the bound split; "
+                "nothing trains it this session", t, c)
+        splits.append((session.features[rows], labels,
+                       tuple(compress(session.sample_ids, rows))))
+    if train is not None:
+        train(learners, splits, session.label_set)
+    else:
+        for learner, split in zip(learners, splits):
+            learner.update(*split, session.label_set)
     expected_space = seq.cumulative_label_space(t)
-    if learner.known_classes != expected_space:
-        raise ProtocolError(
-            f"session {t}: learner knows {sorted(learner.known_classes)}, "
-            f"expected cumulative label space {sorted(expected_space)}")
-
-    seen = list(zip(seq.sessions[:t], test_masks))
-    test_labels = np.concatenate([s.labels[mask] for s, mask in seen])
-    predictions = learner.predict_many(np.concatenate([s.features[mask] for s, mask in seen]))
-    return int(np.sum(predictions == test_labels)), len(test_labels)
+    results = []
+    for learner, masks in zip(learners, test_masks):
+        if learner.known_classes != expected_space:
+            raise ProtocolError(
+                f"session {t}: learner knows {sorted(learner.known_classes)}, "
+                f"expected cumulative label space {sorted(expected_space)}")
+        seen = list(zip(seq.sessions[:t], masks))
+        test_labels = np.concatenate([s.labels[mask] for s, mask in seen])
+        predictions = learner.predict_many(np.concatenate([s.features[m] for s, m in seen]))
+        results.append((int(np.sum(predictions == test_labels)), len(test_labels)))
+    return results
 
 
 LearnerFactory = Callable[[int], Learner]
+
+
+def _run_trials(cfg: ExperimentConfig, seq: SessionSequence,
+                assignments: Sequence[FoldAssignment], trial_indices: Sequence[int],
+                learner_factory: LearnerFactory | None) -> list[TrialResult]:
+    """The trials `trial_indices`, session-major. Learners made here from `cfg`
+    share one prototype projection; finetune ones train stacked."""
+    test_masks = [bind_folds(assignments, tau) for tau in trial_indices]
+    train = train_finetune if learner_factory is None and cfg.learner == FINETUNE else None
+    if learner_factory is None:
+        # Every trial would draw the same projection; draw it once, read-only.
+        projection = (draw_projection(seq.feature_dim, cfg.learner_config, cfg.seed)
+                      if cfg.learner == PROTOTYPE else None)
+        learner_factory = lambda tau: make_learner(
+            cfg.learner, seq.feature_dim, cfg.learner_config, cfg.seed, tau, projection)
+    learners = [learner_factory(tau) for tau in trial_indices]
+    sessions = []  # per session, each trial's (correct, total)
+    for t in range(1, seq.n + 1):
+        sessions.append(_run_session(learners, seq, test_masks, t, train))
+        for tau, (c, m) in zip(trial_indices, sessions[-1]):
+            logger.info("trial %d session %d: accuracy %.4f (%d/%d)", tau, t, c / m, c, m)
+    return [TrialResult(trial_index=tau, correct=tuple(c for c, _ in counts),
+                        total=tuple(m for _, m in counts))
+            for tau, counts in zip(trial_indices, zip(*sessions))]
 
 
 def run_trial(cfg: ExperimentConfig, seq: SessionSequence,
               assignments: Sequence[FoldAssignment], trial_index: int,
               learner_factory: LearnerFactory | None = None) -> TrialResult:
     """One complete incremental run over all sessions with fold `trial_index` bound."""
-    test_masks = bind_folds(assignments, trial_index)
-    if learner_factory is not None:
-        learner = learner_factory(trial_index)
-    else:
-        learner = make_learner(cfg.learner, seq.feature_dim, cfg.learner_config,
-                               cfg.seed, trial_index)
-    correct: list[int] = []
-    total: list[int] = []
-    for t in range(1, seq.n + 1):
-        c, m = run_session(learner, seq, test_masks, t)
-        correct.append(c)
-        total.append(m)
-        logger.info("trial %d session %d: accuracy %.4f (%d/%d)",
-                    trial_index, t, c / m, c, m)
-    return TrialResult(trial_index=trial_index, correct=tuple(correct), total=tuple(total))
+    return _run_trials(cfg, seq, assignments, [trial_index], learner_factory)[0]
 
 
 def build_sequence(cfg: ExperimentConfig) -> SessionSequence:
@@ -149,14 +176,7 @@ def run_experiment(cfg: ExperimentConfig,
     """
     seq = build_sequence(cfg)
     assignments = partition_sequence(seq, cfg.k, cfg.seed, cfg.protocol)
-    if learner_factory is None:
-        # Every trial would draw the same projection; draw it once, read-only.
-        projection = (draw_projection(seq.feature_dim, cfg.learner_config, cfg.seed)
-                      if cfg.learner == PROTOTYPE else None)
-        learner_factory = lambda tau: make_learner(
-            cfg.learner, seq.feature_dim, cfg.learner_config, cfg.seed, tau, projection)
-    trials = [run_trial(cfg, seq, assignments, tau, learner_factory)
-              for tau in range(1, cfg.k + 1)]
+    trials = _run_trials(cfg, seq, assignments, range(1, cfg.k + 1), learner_factory)
     report = aggregate(trials, config=cfg.echo(seq.feature_dim), expect_k=cfg.k)
     logger.info("experiment done: mean final %.4f, mean average %.4f",
                 report.mean_final, report.mean_average)

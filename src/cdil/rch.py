@@ -8,10 +8,10 @@ which is the argmax of their softmax. A class that recurs in several
 sessions therefore keeps one preserved row per session, and the sum is its
 effective classifier.
 
-Training writes only the newest session's block, once per SGD step, so the
-sum of the frozen sessions 1..n-1 is kept; each remap copies that prefix
-and adds the newest block last, which is the order a full per-class sum in
-session order uses, so the result is the same bit for bit.
+Training writes only the newest session's block, so the sum of the frozen
+sessions 1..n-1 (`frozen`) is kept; each remap, like each finetune step,
+copies that prefix and adds the newest block last: the order a full per-class
+sum in session order uses, so the result is the same bit for bit.
 
 Heads carry no bias term; callers that want one append a constant-1 feature
 instead, which keeps the per-class summation semantics uniform.
@@ -93,10 +93,9 @@ class RCHState:
             raise ValueError(f"rows for {what} have shape {rows.shape}, expected {expected}")
         return rows
 
-    def session_rows(self, t: int) -> dict[int, np.ndarray]:
-        """A copy of session t's rows, keyed by class in sorted order."""
-        block = self._block(t)
-        return dict(zip(self._row_class[block].tolist(), self._rows[block].copy()))
+    def rows(self, t: int) -> np.ndarray:
+        """A copy of session t's (n_t, d) block, one row per class in sorted order."""
+        return self._rows[self._block(t)].copy()
 
     def set_rows(self, t: int, rows: np.ndarray) -> None:
         """Overwrite session t's rows with an (n_t, d) array, in class order."""
@@ -117,17 +116,23 @@ class RCHState:
         Summation runs in session order starting from zeros, so appending an
         all-zero session leaves existing rows bitwise unchanged.
         """
-        if self.n_sessions == 0:
-            raise ConfigurationError("remap needs at least one session")
+        matrix = self.frozen().copy()
         last = self._bounds[-2]
-        if self._prefix is None:
-            self._prefix = np.zeros((len(self._order), self.feature_dim))
-            # unbuffered: rows added in order
-            np.add.at(self._prefix, self._row_pos[:last], self._rows[:last])
-        matrix = self._prefix.copy()
         matrix[self._row_pos[last:]] += self._rows[last:]  # one row per class
         matrix.flags.writeable = False
         return matrix
+
+    def frozen(self) -> np.ndarray:
+        """The read-only remapped sum of sessions 1..n-1, which `remap` copies."""
+        if self.n_sessions == 0:
+            raise ConfigurationError("remap needs at least one session")
+        if self._prefix is None:
+            last = self._bounds[-2]
+            self._prefix = np.zeros((len(self._order), self.feature_dim))
+            # unbuffered: rows added in order
+            np.add.at(self._prefix, self._row_pos[:last], self._rows[:last])
+            self._prefix.flags.writeable = False
+        return self._prefix
 
     def predict_many(self, features: np.ndarray) -> np.ndarray:
         """Predicted class index per row of `features` (shape (N, d)); ties
@@ -140,9 +145,3 @@ class RCHState:
         order = np.asarray(self.class_order)
         return order[np.argmax(scores, axis=1)]
 
-
-def softmax_rows(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable softmax for a (N, C) logit matrix."""
-    shifted = logits - np.max(logits, axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=1, keepdims=True)

@@ -7,12 +7,12 @@ that fold assignments, synthetic streams, and learner randomness are
 reproducible across platforms and library versions; the platform `random`
 module and numpy's default streams are never used.
 
-`normals` draws blocks equal bit for bit to `normal()` in a loop: the state
-update is GF(2)-linear, so lanes started by jumps are the sequential stream laid
-end to end; numpy does only what IEEE 754 fixes exactly, and log, sin and cos
-stay on `math`. `shuffle` draws its words as one block too, unless it has few
-items, and falls back to one `randbelow` at a time if that block holds a word
-`randbelow` would reject.
+`normals` draws blocks equal bit for bit to scalar Box-Muller draws made one at
+a time: the state update is GF(2)-linear, so lanes started by jumps are the
+sequential stream laid end to end; numpy does only what IEEE 754 fixes
+exactly, and log, sin and cos stay on `math`. `shuffle` draws its words as one
+block too, unless it has few items, and falls back to one `randbelow` at a time
+if that block holds a word `randbelow` would reject.
 
 Substreams are derived by hashing an ordered tuple of purpose tags
 (experiment seed, session index, protocol name, ...) with SHA-256 and
@@ -164,19 +164,6 @@ class Xoshiro256StarStar:
         for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]
 
-    def normal(self) -> float:
-        """Standard normal draw (Box-Muller, spare value cached)."""
-        if self._spare is not None:
-            z = self._spare
-            self._spare = None
-            return z
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53  # (0, 1]
-        u2 = (self.next_u64() >> 11) * 2.0**-53
-        r = math.sqrt(-2.0 * math.log(u1))
-        theta = 2.0 * math.pi * u2
-        self._spare = r * math.sin(theta)
-        return r * math.cos(theta)
-
     def _u64s(self, n: int) -> np.ndarray:
         """The next n outputs, leaving the state where n `next_u64` calls would."""
         if n < _MIN_BLOCK:  # the `next_u64` step inlined over local ints
@@ -207,7 +194,7 @@ class Xoshiro256StarStar:
 
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of standard normal draws in row-major fill order, bit for bit
-        the values of one `normal()` call per entry."""
+        scalar Box-Muller draws; a sine value left over is kept for the next call."""
         out = np.empty(shape, dtype=np.float64)
         flat = out.reshape(-1)
         start = int(flat.size > 0 and self._spare is not None)

@@ -79,14 +79,15 @@ def random_rch_state(rng, max_dim=4, max_sessions=3, max_classes=5):
     dim = rng.randbelow(max_dim) + 1
     n_classes = rng.randbelow(max_classes - 1) + 2
     state = RCHState(dim)
+    sessions = []  # each session's classes, in the sorted order of its block rows
     for _ in range(rng.randbelow(max_sessions) + 1):
         size = rng.randbelow(n_classes) + 1
         classes = set()
         while len(classes) < size:
             classes.add(rng.randbelow(n_classes))
-        state.add_session(classes, np.array([[rng.normal() for _ in range(dim)]
-                                             for _ in sorted(classes)]))
-    return state, dim
+        state.add_session(classes, rng.normals((len(classes), dim)))
+        sessions.append(sorted(classes))
+    return state, dim, sessions
 
 
 @pytest.fixture(scope="module")
@@ -200,12 +201,12 @@ def test_criterion_04_rch_oracle_equivalence():
     rng = Xoshiro256StarStar(31337)
     instances = 1000
     for _ in range(instances):
-        state, dim = random_rch_state(rng)
-        x = np.array([rng.normal() for _ in range(dim)])
+        state, dim, sessions = random_rch_state(rng)
+        x = rng.normals(dim)
         # brute-force per-session logit summation, no remapped matrix
         logits = {}
-        for t in range(1, state.n_sessions + 1):
-            for c, row in state.session_rows(t).items():
+        for t, classes in enumerate(sessions, start=1):
+            for c, row in zip(classes, state.rows(t)):
                 logits[c] = logits.get(c, 0.0) + float(x @ row)
         best = max(sorted(logits), key=lambda c: (logits[c], -c))
         assert state.predict_many(x[None])[0] == best

@@ -752,6 +752,17 @@ class TestCli:
         where = f"{config}: field '{field}'" if field else str(config)
         assert f"error: {where}: must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("variant", ["x", 3, ["finetune"]])
+    def test_bad_learner_variant_exits_2_naming_learner_variant(self, tmp_path, capsys,
+                                                                variant):
+        config = self.run_config(tmp_path)
+        data = json.loads(config.read_text(encoding="utf-8"))
+        data["learner"]["variant"] = variant
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert (f"error: {config}: field 'learner.variant': must be one of "
+                f"('finetune', 'prototype'), got {variant!r}") in capsys.readouterr().err
+
     @pytest.mark.parametrize("field,key", [
         (None, "protcol"),
         (None, "threads"),

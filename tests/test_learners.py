@@ -3,13 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cdil.core import ConfigurationError, ProtocolError
 from cdil.learners import (FinetuneLearner, LearnerConfig, PrototypeLearner,
-                           class_statistics, finetune_loss_and_grads, make_learner,
-                           ridge_solve)
-from cdil.rch import softmax_rows
+                           class_statistics, finetune_loss_and_grads, finetune_step,
+                           make_learner, ridge_solve)
+from cdil.pipeline import ExperimentConfig, partition_sequence, run_experiment
 from cdil.rng import Xoshiro256StarStar, substream
+from cdil.splitters import bind_folds
+from cdil.synth import SynthSpec, generate_stream
 
 
 def columns(features, labels, prefix="s"):
@@ -52,6 +56,13 @@ def gaussian_blobs(rng, means, per_class, sigma=1.0):
     return np.array(samples), labels
 
 
+def softmax_rows(logits):
+    """Row-wise stable softmax of a (N, C) logit matrix."""
+    shifted = logits - np.max(logits, axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return exp / np.sum(exp, axis=1, keepdims=True)
+
+
 def reference_loss_and_grads(features, labels_pos, remap_matrix, feature_map=None,
                              bias_feature=False):
     """The two-`exp` cross-entropy and gradients `finetune_loss_and_grads` must
@@ -79,9 +90,9 @@ def reference_loss_and_grads(features, labels_pos, remap_matrix, feature_map=Non
 
 
 def reference_finetune(sessions, feature_dim, cfg, seed, trial):
-    """The finetune step loop as a plain function, with zero-initialised heads:
-    per-epoch Fisher-Yates on `randbelow`, batches gathered by index lists,
-    a full `np.add.at` remap and the two-`exp` gradients at every step.
+    """The finetune step loop of one trial as a plain function: per-epoch
+    Fisher-Yates on `randbelow`, batches gathered by index lists, a full
+    `np.add.at` remap and the two-`exp` gradients at every step.
     Returns (per-session head blocks, feature map)."""
     feature_map = np.eye(feature_dim) if cfg.feature_map else None
     head_dim = feature_dim + (1 if cfg.bias_feature else 0)
@@ -89,7 +100,9 @@ def reference_finetune(sessions, feature_dim, cfg, seed, trial):
     for t, (features, labels, label_set) in enumerate(sessions, start=1):
         classes = sorted(label_set)
         session_classes.append(classes)
-        blocks.append(np.zeros((len(classes), head_dim)))
+        blocks.append(substream(seed, "finetune", trial, t, "head-init").normals(
+            (len(classes), head_dim)) * cfg.head_init_std if cfg.head_init == "gaussian"
+            else np.zeros((len(classes), head_dim)))
         order = sorted(set().union(*session_classes))
         row_pos = np.searchsorted(order, np.concatenate(session_classes))
         labels_pos = np.searchsorted(order, labels)
@@ -188,11 +201,10 @@ class TestFinetune:
         learner = FinetuneLearner(2, cfg)
         X1 = rng.normals((12, 2))
         learner.update(*columns(X1, [0, 1] * 6, prefix="a"), {0, 1})
-        session1 = learner.rch.session_rows(1)
+        session1 = learner.rch.rows(1)  # classes 0, 1
         X2 = rng.normals((12, 2))
         learner.update(*columns(X2, [2, 3] * 6, prefix="b"), {2, 3})
-        for c in (0, 1):
-            assert np.array_equal(learner.rch.session_rows(1)[c], session1[c])
+        assert np.array_equal(learner.rch.rows(1), session1)
 
     def test_descent_on_fixed_batch_with_frozen_features(self):
         rng = substream(4, "descent")
@@ -243,8 +255,7 @@ class TestFinetune:
                            label_set)
         for t, n_t in ((1, 3), (2, 2)):
             expected = substream(13, "finetune", 2, t, "head-init").normals((n_t, 6)) * 0.03
-            assert np.array_equal(np.array(list(learner.rch.session_rows(t).values())),
-                                  expected)
+            assert np.array_equal(learner.rch.rows(t), expected)
 
     def test_forgetting_on_disjoint_sessions(self):
         # direction only: session-1 accuracy drops after training on session 2
@@ -310,7 +321,7 @@ class TestFinetuneGradients:
         y = np.array([rng.randbelow(3) for _ in range(6)])
         _, d_remap, _ = finetune_loss_and_grads(X, y, learner.rch.remap())
         h = 1e-6
-        rows = np.array(list(learner.rch.session_rows(2).values()))  # classes 1, 2
+        rows = learner.rch.rows(2)  # classes 1, 2
         for i in range(d):
             bump = np.zeros_like(rows)
             bump[0, i] = h
@@ -362,12 +373,110 @@ class TestFinetuneBitExact:
             learner.update(*columns(features, labels), label_set)
         blocks, expected_map = reference_finetune(sessions, d, cfg, seed, 2)
         for t, block in enumerate(blocks, start=1):
-            rows = np.array(list(learner.rch.session_rows(t).values()))
-            assert rows.tobytes() == block.tobytes()
+            assert learner.rch.rows(t).tobytes() == block.tobytes()
         if feature_map:
             assert learner.feature_map.tobytes() == expected_map.tobytes()
         else:
             assert learner.feature_map is None and expected_map is None
+
+
+@st.composite
+def stacked_steps(draw):
+    """k trials' step inputs as the trainer hands them over: features maybe a
+    slice of a longer padded epoch, and a session block at sorted positions."""
+    k, batch, classes, d = (draw(st.integers(2, 5)), draw(st.integers(1, 16)),
+                            draw(st.integers(2, 17)), draw(st.integers(1, 80)))
+    bias, with_map = draw(st.booleans()), draw(st.booleans())
+    rng = Xoshiro256StarStar(draw(st.integers(0, 2**64 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 2))
+    offset = draw(st.sampled_from([None, 0, 3]))
+    features = rng.normals((k, batch + (offset or 0) + 2, d)) * scale
+    features = (features[:, :batch].copy() if offset is None
+                else features[:, offset:offset + batch])
+    labels_pos = np.array([[rng.randbelow(classes) for _ in range(batch)] for _ in range(k)])
+    session_pos = np.array(sorted(draw(st.sets(st.integers(0, classes - 1), min_size=1))))
+    frozen = rng.normals((k, classes, d + bias)) * scale
+    heads = rng.normals((k, len(session_pos), d + bias)) * scale
+    maps = np.eye(d) + rng.normals((k, d, d)) * 0.3 if with_map else None
+    return features, labels_pos, frozen, heads, maps, session_pos, bias
+
+
+class TestStackedStep:
+    @settings(max_examples=300, deadline=None)
+    @given(stacked_steps())
+    def test_each_trial_slice_equals_its_one_trial_step(self, case):
+        features, labels_pos, frozen, heads, maps, session_pos, bias = case
+        remap = frozen.copy()
+        remap[:, session_pos] += heads
+        loss, d_remap, d_map = finetune_loss_and_grads(features, labels_pos, remap, maps, bias)
+        new_heads, new_maps = heads.copy(), None if maps is None else maps.copy()
+        step_loss = finetune_step(features, labels_pos, frozen, new_heads, new_maps,
+                                  session_pos, 0.05, bias)
+        assert step_loss.tobytes() == loss.tobytes()
+        for i in range(len(features)):
+            one = slice(i, i + 1)
+            alone = finetune_loss_and_grads(features[one], labels_pos[one], remap[one],
+                                            None if maps is None else maps[one], bias)
+            assert loss[one].tobytes() == alone[0].tobytes()
+            assert d_remap[one].tobytes() == alone[1].tobytes()
+            assert d_map is None if maps is None else d_map[one].tobytes() == alone[2].tobytes()
+            head, fmap = heads[one].copy(), None if maps is None else maps[one].copy()
+            finetune_step(features[one], labels_pos[one], frozen[one], head, fmap,
+                          session_pos, 0.05, bias)
+            assert new_heads[one].tobytes() == head.tobytes()
+            assert fmap is None or new_maps[one].tobytes() == fmap.tobytes()
+
+    def test_one_trial_without_the_trial_axis_is_the_k1_slice(self):
+        rng = substream(41, "no-axis")
+        X, W, F = rng.normals((7, 5)), rng.normals((3, 6)), rng.normals((5, 5))
+        y = np.array([rng.randbelow(3) for _ in range(7)])
+        flat = finetune_loss_and_grads(X, y, W, F, True)
+        stacked = finetune_loss_and_grads(X[None], y[None], W[None], F[None], True)
+        for a, b in zip(flat, stacked):
+            assert np.asarray(a).tobytes() == b[0].tobytes()
+
+
+class TestStackedTraining:
+    """An experiment's finetune trials train stacked; each learner must end
+    bit for bit where the one-trial reference loop leaves it."""
+
+    SPEC = SynthSpec(session_label_sets=(("a", "b", "c"), ("b", "c", "d"), ("a", "d", "e")),
+                     samples_per_class_per_session=9, subjects_per_session=6,
+                     feature_dim=5, seed=64)
+
+    @pytest.mark.parametrize("protocol", ["slcv", "ilcv"])
+    @pytest.mark.parametrize("overrides", [
+        {}, {"head_init": "gaussian"}, {"bias_feature": True}, {"feature_map": False},
+        {"batch_size": 1, "epochs_first": 1, "epochs_later": 1}, {"batch_size": 8}])
+    def test_experiment_learners_equal_the_reference_step_loop(self, monkeypatch, protocol,
+                                                               overrides):
+        import cdil.pipeline
+        cfg = ExperimentConfig(
+            protocol=protocol, k=5, learner="finetune", seed=64, synth=self.SPEC,
+            learner_config=LearnerConfig(**{"epochs_first": 3, "epochs_later": 2,
+                                            "batch_size": 4, **overrides}))
+        make, made = cdil.pipeline.make_learner, []
+        monkeypatch.setattr(cdil.pipeline, "make_learner",
+                            lambda *args: made.append(make(*args)) or made[-1])
+        run_experiment(cfg)
+        seq = generate_stream(self.SPEC)
+        assignments = partition_sequence(seq, cfg.k, cfg.seed, protocol)
+        sizes = set()
+        for tau, learner in enumerate(made, start=1):
+            sessions = [(s.features[~mask], s.labels[~mask], s.label_set)
+                        for s, mask in zip(seq.sessions, bind_folds(assignments, tau))]
+            sizes |= {len(features) for features, _, _ in sessions}
+            blocks, expected_map = reference_finetune(sessions, seq.feature_dim,
+                                                      cfg.learner_config, cfg.seed, tau)
+            for t, block in enumerate(blocks, start=1):
+                assert learner.rch.rows(t).tobytes() == block.tobytes()
+            assert (learner.feature_map is None if expected_map is None
+                    else learner.feature_map.tobytes() == expected_map.tobytes())
+        assert len(made) == cfg.k
+        if protocol == "slcv":
+            assert len(sizes) > 2  # ragged: trials step apart at the end of an epoch
+        if cfg.learner_config.batch_size == 8:
+            assert all(n % 8 for n in sizes)  # every split ends in a short batch
 
 
 class TestRidgeSolve:
@@ -489,7 +598,8 @@ class TestPrototype:
         X = rng.normals((10, 4))
         learner = PrototypeLearner(4, LearnerConfig(), experiment_seed=8)
         learner.update(*columns(X, [0] * 10), {0, 1})  # class 1 declared, no samples
-        assert np.array_equal(learner.rch.session_rows(1)[1], np.zeros(learner.head_dim))
+        # block row 1 is class 1's, in sorted class order
+        assert np.array_equal(learner.rch.rows(1)[1], np.zeros(learner.head_dim))
 
     def test_deterministic_given_data_and_seeds(self):
         rng = substream(16, "determinism")

@@ -1,11 +1,12 @@
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cdil.core import ConfigurationError
-from cdil.learners import Learner, LearnerConfig
+from cdil.core import ConfigurationError, NumericalError
+from cdil.learners import FinetuneLearner, Learner, LearnerConfig
 from cdil.pipeline import (ExperimentConfig, partition_sequence, run_experiment,
                            run_session, run_trial)
 from cdil.rng import substream
@@ -260,6 +261,86 @@ class TestRunExperiment:
         seq = generate_stream(cfg.synth)
         with pytest.raises(RuntimeError, match="blow-up"):
             run_experiment(cfg, learner_factory=lambda tau: ExplodingLearner(seq))
+
+
+RAGGED = SynthSpec(session_label_sets=(("a", "b", "c"), ("b", "c", "d"), ("a", "d", "e")),
+                   samples_per_class_per_session=9, subjects_per_session=6, feature_dim=5,
+                   seed=61)
+
+
+class TestSessionMajor:
+    """run_experiment trains every trial each session before the next; the
+    results must be those of k separate one-trial runs."""
+
+    def config(self, protocol, learner, **kwargs):
+        return quick_config(protocol=protocol, learner=learner, seed=62, synth=RAGGED,
+                            learner_config=LearnerConfig(epochs_first=3, epochs_later=2,
+                                                         batch_size=4, **kwargs))
+
+    @pytest.mark.parametrize("protocol", ["slcv", "ilcv"])
+    @pytest.mark.parametrize("learner", ["finetune", "prototype"])
+    def test_experiment_equals_separate_trials(self, protocol, learner):
+        cfg = self.config(protocol, learner)
+        seq = generate_stream(cfg.synth)
+        assignments = partition_sequence(seq, cfg.k, cfg.seed, protocol)
+        sizes = {int((~bind_folds(assignments, tau)[0]).sum()) for tau in range(1, cfg.k + 1)}
+        assert len(sizes) > 1 or protocol == "ilcv"  # SLCV splits are ragged
+        separate = [run_trial(cfg, seq, assignments, tau) for tau in range(1, cfg.k + 1)]
+        assert list(run_experiment(cfg).trials) == separate
+
+    @pytest.mark.parametrize("protocol", ["slcv", "ilcv"])
+    def test_custom_factory_updates_each_trial(self, protocol):
+        cfg = self.config(protocol, "finetune", head_init="gaussian")
+        seq = generate_stream(cfg.synth)
+        updates = []
+
+        class CountingFinetune(FinetuneLearner):
+            def update(self, *args):
+                updates.append(self._trial)
+                super().update(*args)
+
+        report = run_experiment(cfg, learner_factory=lambda tau: CountingFinetune(
+            seq.feature_dim, cfg.learner_config, cfg.seed, tau))
+        # session-major: every trial once per session, in trial order
+        assert updates == list(range(1, cfg.k + 1)) * seq.n
+        assert report.trials == run_experiment(cfg).trials  # per trial == stacked
+
+    @pytest.mark.parametrize("protocol", ["slcv", "ilcv"])
+    def test_custom_learner_experiment_equals_separate_trials(self, protocol):
+        cfg = self.config(protocol, "prototype")
+        seq = generate_stream(cfg.synth)
+        assignments = partition_sequence(seq, cfg.k, cfg.seed, protocol)
+        factory = lambda tau: RandomGuessLearner(seq.feature_dim, tau)
+        separate = [run_trial(cfg, seq, assignments, tau, factory)
+                    for tau in range(1, cfg.k + 1)]
+        assert list(run_experiment(cfg, learner_factory=factory).trials) == separate
+
+    def test_non_finite_loss_in_one_trial_aborts_without_a_report(self, tmp_path,
+                                                                  monkeypatch):
+        import cdil.learners
+        real = cdil.learners.finetune_loss_and_grads
+
+        def poisoned(features, *args):
+            loss, d_remap, d_map = real(features, *args)
+            if len(features) >= 3:  # a stacked step of trials 1..k: poison trial 3
+                loss[2] = np.nan
+            return loss, d_remap, d_map
+
+        monkeypatch.setattr(cdil.learners, "finetune_loss_and_grads", poisoned)
+        cfg = self.config("slcv", "finetune")
+        with pytest.raises(NumericalError,
+                           match=r"non-finite loss at session 1, epoch 0, trial 3 \(lr=0.05\)"):
+            run_experiment(replace(cfg, out=tmp_path))
+        assert not any(tmp_path.iterdir())
+
+    def test_divergence_aborts_without_a_report(self, tmp_path):
+        cfg = quick_config(learner="finetune", out=tmp_path,
+                           learner_config=LearnerConfig(learning_rate=1e300, epochs_first=30))
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericalError,
+                               match=r"non-finite loss at session \d+, epoch \d+, trial \d+"):
+                run_experiment(cfg)
+        assert not any(tmp_path.iterdir())
 
 
 # report.json digests of the deterministic default-config runs, unchanged

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cdil.core import ConfigurationError
-from cdil.rch import RCHState, softmax_rows
+from cdil.rch import RCHState
 from cdil.rng import Xoshiro256StarStar, substream
 
 
@@ -18,7 +18,9 @@ def softmax_oracle(logits):
 
 def probabilities(state, x):
     """Softmax of the remapped logits, as the finetune loss computes it."""
-    return softmax_rows(x[None] @ state.remap().T)[0]
+    logits = x @ state.remap().T
+    exp = np.exp(logits - logits.max())
+    return exp / exp.sum()
 
 
 def predict(state, x):
@@ -26,25 +28,32 @@ def predict(state, x):
 
 
 def random_state(rng, max_dim=4, max_sessions=3, max_classes=5):
+    """A random head, its feature dim and each session's classes in sorted order."""
     dim = rng.randbelow(max_dim) + 1
     n_classes = rng.randbelow(max_classes - 1) + 2
     n_sessions = rng.randbelow(max_sessions) + 1
     state = RCHState(dim)
+    sessions = []
     for _ in range(n_sessions):
         size = rng.randbelow(n_classes) + 1
         classes = set()
         while len(classes) < size:
             classes.add(rng.randbelow(n_classes))
-        state.add_session(classes, np.array([[rng.normal() for _ in range(dim)]
-                                             for _ in sorted(classes)]))
-    return state, dim
+        state.add_session(classes, rng.normals((len(classes), dim)))
+        sessions.append(sorted(classes))
+    return state, dim, sessions
 
 
-def per_session_logits(state, x):
+def session_rows(state, sessions, t):
+    """Session t's rows keyed by class: block row i belongs to its i-th class."""
+    return dict(zip(sessions[t - 1], state.rows(t)))
+
+
+def per_session_logits(state, sessions, x):
     """Brute force: sum x.H_t^c per class across sessions, never remapping."""
     logits = {}
     for t in range(1, state.n_sessions + 1):
-        for c, row in state.session_rows(t).items():
+        for c, row in session_rows(state, sessions, t).items():
             logits[c] = logits.get(c, 0.0) + float(x @ row)
     return logits
 
@@ -55,7 +64,8 @@ class TestAddSession:
         state.add_session({0, 1, 2, 3, 4})
         assert state.n_sessions == 1
         assert state.known_classes == {0, 1, 2, 3, 4}
-        assert list(state.session_rows(1)) == [0, 1, 2, 3, 4]
+        assert state.class_order == (0, 1, 2, 3, 4)
+        assert np.array_equal(state.rows(1), np.zeros((5, 4)))
 
     def test_overlapping_second_session(self):
         state = RCHState(4)
@@ -63,14 +73,19 @@ class TestAddSession:
         state.add_session({1, 2, 4, 5, 6})  # 3 overlaps, 2 novel
         assert state.n_sessions == 2
         assert state.known_classes == {0, 1, 2, 3, 4, 5, 6}
-        sessions = {c: tuple(t for t in (1, 2) if c in state.session_rows(t))
-                    for c in state.known_classes}
+        # each session has one row per class: a recurring class sums one from each
+        first = np.arange(1.0, 21.0).reshape(5, 4)
+        second = 100 * first
+        state.set_rows(1, first)
+        state.set_rows(2, second)
+        rows1, rows2 = dict(zip((0, 1, 2, 3, 4), first)), dict(zip((1, 2, 4, 5, 6), second))
+        remapped = dict(zip(state.class_order, state.remap()))
         for c in (1, 2, 4):
-            assert sessions[c] == (1, 2)
+            assert np.array_equal(remapped[c], rows1[c] + rows2[c])
         for c in (0, 3):
-            assert sessions[c] == (1,)
+            assert np.array_equal(remapped[c], rows1[c])
         for c in (5, 6):
-            assert sessions[c] == (2,)
+            assert np.array_equal(remapped[c], rows2[c])
 
     def test_zero_rows_for_known_classes_leave_argmax_unchanged(self):
         rng = substream(1, "zero-extension")
@@ -133,8 +148,7 @@ class TestRemap:
         state.add_session({7, 2, 5})
         state.set_rows(1, np.array([[2.0], [5.0], [7.0]]))
         assert state.class_order == (2, 5, 7)
-        assert {c: row.tolist() for c, row in state.session_rows(1).items()} == {
-            2: [2.0], 5: [5.0], 7: [7.0]}
+        assert state.rows(1).tolist() == [[2.0], [5.0], [7.0]]
         assert state.remap()[:, 0].tolist() == [2.0, 5.0, 7.0]
 
     def test_cache_invalidated_on_write(self):
@@ -147,10 +161,10 @@ class TestRemap:
     def test_remap_linearity_randomized(self):
         rng = Xoshiro256StarStar(2024)
         for _ in range(200):
-            state, dim = random_state(rng)
-            x = np.array([rng.normal() for _ in range(dim)])
+            state, dim, sessions = random_state(rng)
+            x = rng.normals(dim)
             matrix = state.remap()
-            direct = per_session_logits(state, x)
+            direct = per_session_logits(state, sessions, x)
             for pos, c in enumerate(state.class_order):
                 remapped = float(x @ matrix[pos])
                 assert remapped == pytest.approx(direct[c], rel=1e-10, abs=1e-12)
@@ -159,15 +173,14 @@ class TestRemap:
         # rows spanning 1e-8..1e8 make any change in summation order visible
         rng = Xoshiro256StarStar(4242)
         for _ in range(200):
-            state, dim = random_state(rng, max_dim=6, max_sessions=5, max_classes=6)
+            state, dim, sessions = random_state(rng, max_dim=6, max_sessions=5, max_classes=6)
             for t in range(1, state.n_sessions + 1):
-                rows = state.session_rows(t).values()
                 state.set_rows(t, np.array([row * 10.0 ** np.array(
-                    [rng.randbelow(17) - 8 for _ in row]) for row in rows]))
+                    [rng.randbelow(17) - 8 for _ in row]) for row in state.rows(t)]))
             position = {c: i for i, c in enumerate(state.class_order)}
             expected = np.zeros((len(position), dim))
             for t in range(1, state.n_sessions + 1):
-                for c, row in state.session_rows(t).items():
+                for c, row in session_rows(state, sessions, t).items():
                     expected[position[c]] += row
             assert np.array_equal(state.remap(), expected)
 
@@ -179,25 +192,32 @@ class TestRemap:
         for _ in range(40):
             dim = rng.randbelow(5) + 1
             state = RCHState(dim)
+            sessions = []
             for _ in range(30):
                 if state.n_sessions == 0 or rng.randbelow(6) == 0:
                     classes = {rng.randbelow(7) for _ in range(rng.randbelow(4) + 1)}
                     state.add_session(classes, rng.normals((len(classes), dim)))
+                    sessions.append(sorted(classes))
                 else:
                     t = rng.randbelow(state.n_sessions) + 1
-                    block = rng.normals((len(state.session_rows(t)), dim))
+                    block = rng.normals((len(sessions[t - 1]), dim))
                     block *= 10.0 ** (rng.randbelow(17) - 8)
                     write = state.add_to_rows if rng.randbelow(2) else state.set_rows
                     write(t, block)
                 position = {c: i for i, c in enumerate(state.class_order)}
-                classes = [c for t in range(1, state.n_sessions + 1)
-                           for c in state.session_rows(t)]
-                rows = [row for t in range(1, state.n_sessions + 1)
-                        for row in state.session_rows(t).values()]
+                classes = [c for session in sessions for c in session]
+                rows = [row for t in range(1, state.n_sessions + 1) for row in state.rows(t)]
                 expected = np.zeros((len(position), dim))
                 np.add.at(expected, [position[c] for c in classes], np.array(rows))
                 first = state.remap()
                 assert first.tobytes() == expected.tobytes()
+                # the frozen prefix is the same sum over sessions 1..n-1
+                last = len(classes) - len(sessions[-1])
+                prefix = np.zeros((len(position), dim))
+                np.add.at(prefix, [position[c] for c in classes[:last]],
+                          np.array(rows[:last]).reshape(-1, dim))
+                assert state.frozen().tobytes() == prefix.tobytes()
+                assert not state.frozen().flags.writeable
                 again = state.remap()
                 assert again.tobytes() == first.tobytes()
                 assert not np.shares_memory(again, first)
@@ -223,7 +243,7 @@ class TestRemap:
 
 
 class TestPredictProba:
-    """Class probabilities: `softmax_rows` of the remapped logits, which is what
+    """Class probabilities: the softmax of the remapped logits, which is what
     the finetune loss trains on."""
 
     def test_all_zero_heads_uniform(self):
@@ -247,8 +267,8 @@ class TestPredictProba:
     def test_sums_to_one(self):
         rng = Xoshiro256StarStar(5)
         for _ in range(50):
-            state, dim = random_state(rng)
-            probs = probabilities(state, np.array([rng.normal() for _ in range(dim)]))
+            state, dim, _ = random_state(rng)
+            probs = probabilities(state, rng.normals(dim))
             assert abs(float(np.sum(probs)) - 1.0) <= 1e-9
             assert np.all(probs >= 0)
 
@@ -297,9 +317,9 @@ class TestPredict:
         # brute force: sum x.H_t^c per class across sessions, never remapping
         rng = Xoshiro256StarStar(31337)
         for _ in range(1000):
-            state, dim = random_state(rng)
-            x = np.array([rng.normal() for _ in range(dim)])
-            logits = per_session_logits(state, x)
+            state, dim, sessions = random_state(rng)
+            x = rng.normals(dim)
+            logits = per_session_logits(state, sessions, x)
             best = max(sorted(logits), key=lambda c: (logits[c], -c))
             assert predict(state, x) == best
 
