@@ -400,13 +400,16 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
 
     Every file is written whole or not at all. A stale report.json is removed
     first and the new one is written last, so a run cut short leaves no
-    report.json, and `cdil report` refuses its directory.
+    report.json, and `cdil report` refuses its directory. Stale trial files,
+    such as those of an earlier run with a larger k, are removed too.
     """
     out_dir = Path(out_dir)
     trials_dir = out_dir / "trials"
     trials_dir.mkdir(parents=True, exist_ok=True)
     report_path = out_dir / "report.json"
     report_path.unlink(missing_ok=True)
+    for stale in trials_dir.glob("trial_*.json"):
+        stale.unlink()
     for trial in report.trials:
         _write_json(trials_dir / f"trial_{trial.trial_index}.json", trial.to_dict())
     with replace_file(out_dir / "report.txt") as fh:
@@ -416,9 +419,9 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
 
 
 def _load_record(path: Path, from_dict):
-    """`from_dict` of a JSON file; a missing or malformed field raises
-    DataLoadError naming the file."""
-    data = read_json(path)
+    """`from_dict` of a JSON file holding an object; a missing or malformed
+    field, or a value that is not an object, raises DataLoadError naming the file."""
+    data = json_object(read_json(path), path)
     try:
         return from_dict(data)
     except ConfigurationError as exc:

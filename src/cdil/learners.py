@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 from typing import AbstractSet, Sequence
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import (NumericalError, ProtocolError, check_bool, check_choice, check_int,
                    check_real)
@@ -266,15 +265,18 @@ def train_finetune(learners: Sequence[FinetuneLearner], splits: Sequence[tuple],
 
 
 def ridge_solve(gram: np.ndarray, targets: np.ndarray, lam: float):
-    """Solve (gram + lam*I) W = targets via Cholesky and verify the residual;
-    return (W, the residual norm the check used)."""
-    m = gram.shape[0]
-    system = gram + lam * np.eye(m)
-    solution = cho_solve(cho_factor(system), targets)
+    """Solve (gram + lam*I) W = targets and verify the residual; return (W,
+    the residual norm the check used). A non-finite system, solution or
+    residual raises NumericalError, as does a residual above tolerance."""
+    system = gram + lam * np.eye(gram.shape[0])
+    if not (np.isfinite(system).all() and np.isfinite(targets).all()):
+        raise NumericalError("ridge system has a non-finite entry")
+    solution = np.linalg.solve(system, targets)
     residual = float(np.linalg.norm(system @ solution - targets))
     bound = RIDGE_RESIDUAL_RTOL * (np.linalg.norm(gram) + lam) * max(
         np.linalg.norm(solution), 1e-30)
-    if residual > bound and residual > 1e-12:
+    # a NaN residual fails both comparisons
+    if not (np.isfinite(solution).all() and (residual <= bound or residual <= 1e-12)):
         raise NumericalError(
             f"ridge solve residual {residual:.3e} exceeds tolerance {bound:.3e}")
     return solution, residual

@@ -92,20 +92,23 @@ def run_session(learner: Learner, seq: SessionSequence, test_masks: Sequence[np.
 
 def _run_session(learners: Sequence[Learner], seq: SessionSequence,
                  test_masks: Sequence[Sequence[np.ndarray]], t: int,
-                 train: Callable | None = None) -> list[tuple[int, int]]:
+                 train: Callable | None = None,
+                 trial_indices: Sequence[int] | None = None) -> list[tuple[int, int]]:
     """Session t of every trial: train each learner on its own split, through
-    `train(learners, splits, label_set)` or one `update` each; then evaluate each."""
+    `train(learners, splits, label_set)` or one `update` each; then evaluate
+    each. Warnings name each trial's index from `trial_indices`, if given."""
     session = seq.session(t)
     splits = []
-    for masks in test_masks:
+    for tau, masks in zip(trial_indices or [None] * len(test_masks), test_masks):
         rows = ~masks[t - 1]
         if not rows.any():
             raise ProtocolError(f"session {t}: empty training split")
         labels = session.labels[rows]
+        where = f"session {t}" if tau is None else f"trial {tau} session {t}"
         for c in sorted(session.label_set - set(labels.tolist())):
             logger.warning(
-                "session %d: class %d has no training samples in the bound split; "
-                "nothing trains it this session", t, c)
+                "%s: class %d has no training samples in the bound split; "
+                "nothing trains it this session", where, c)
         splits.append((session.features[rows], labels,
                        tuple(compress(session.sample_ids, rows))))
     if train is not None:
@@ -146,7 +149,7 @@ def _run_trials(cfg: ExperimentConfig, seq: SessionSequence,
     learners = [learner_factory(tau) for tau in trial_indices]
     sessions = []  # per session, each trial's (correct, total)
     for t in range(1, seq.n + 1):
-        sessions.append(_run_session(learners, seq, test_masks, t, train))
+        sessions.append(_run_session(learners, seq, test_masks, t, train, trial_indices))
         for tau, (c, m) in zip(trial_indices, sessions[-1]):
             logger.info("trial %d session %d: accuracy %.4f (%d/%d)", tau, t, c / m, c, m)
     return [TrialResult(trial_index=tau, correct=tuple(c for c, _ in counts),

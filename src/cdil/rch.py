@@ -8,10 +8,10 @@ which is the argmax of their softmax. A class that recurs in several
 sessions therefore keeps one preserved row per session, and the sum is its
 effective classifier.
 
-Training writes only the newest session's block, so the sum of the frozen
-sessions 1..n-1 (`frozen`) is kept; each remap, like each finetune step,
-copies that prefix and adds the newest block last: the order a full per-class
-sum in session order uses, so the result is the same bit for bit.
+Both sums, of sessions 1..n (`remap`) and of the frozen sessions 1..n-1
+(`frozen`), are computed on each call, per class in session order starting
+from zeros. A finetune step adds the newest block to `frozen` last, which is
+the same order, so its remap is the same bit for bit.
 
 Heads carry no bias term; callers that want one append a constant-1 feature
 instead, which keeps the per-class summation semantics uniform.
@@ -31,10 +31,8 @@ class RCHState:
 
     Session t's rows form one contiguous (n_t, d) block, in sorted class
     order; `_row_class` names the class of every row and `_row_pos` its
-    class's position in `class_order`. `_prefix` holds the summed rows of
-    sessions 1..n-1; `set_rows` / `add_to_rows` drop it when they write one
-    of those sessions, and `add_session` always does. One RCHState belongs to
-    exactly one trial.
+    class's position in `class_order`. One RCHState belongs to exactly one
+    trial.
     """
 
     def __init__(self, feature_dim: int):
@@ -45,7 +43,6 @@ class RCHState:
         self._row_pos = self._row_class
         self._order: tuple[int, ...] = ()
         self._bounds = [0]  # session t owns rows _bounds[t-1]:_bounds[t]
-        self._prefix: np.ndarray | None = None
 
     @property
     def n_sessions(self) -> int:
@@ -74,17 +71,12 @@ class RCHState:
         order, self._row_pos = np.unique(self._row_class, return_inverse=True)
         self._order = tuple(order.tolist())
         self._bounds.append(len(self._row_class))
-        self._prefix = None
         return self.n_sessions
 
     def _block(self, t: int) -> slice:
         if not 1 <= t <= self.n_sessions:
             raise IndexError(f"session index {t} out of range 1..{self.n_sessions}")
         return slice(self._bounds[t - 1], self._bounds[t])
-
-    def _written(self, t: int) -> None:
-        if t < self.n_sessions:
-            self._prefix = None
 
     def _checked(self, rows: np.ndarray, n_rows: int, what: str) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.float64)
@@ -101,13 +93,11 @@ class RCHState:
         """Overwrite session t's rows with an (n_t, d) array, in class order."""
         block = self._block(t)
         self._rows[block] = self._checked(rows, block.stop - block.start, f"session {t}")
-        self._written(t)
 
     def add_to_rows(self, t: int, deltas: np.ndarray) -> None:
         """Add an (n_t, d) array to session t's rows, in class order (gradient steps)."""
         block = self._block(t)
         self._rows[block] += self._checked(deltas, block.stop - block.start, f"session {t}")
-        self._written(t)
 
     def remap(self) -> np.ndarray:
         """A new read-only remapped weight matrix: row i is the summed row of
@@ -116,23 +106,20 @@ class RCHState:
         Summation runs in session order starting from zeros, so appending an
         all-zero session leaves existing rows bitwise unchanged.
         """
-        matrix = self.frozen().copy()
-        last = self._bounds[-2]
-        matrix[self._row_pos[last:]] += self._rows[last:]  # one row per class
-        matrix.flags.writeable = False
-        return matrix
+        return self._summed(len(self._row_class))
 
     def frozen(self) -> np.ndarray:
-        """The read-only remapped sum of sessions 1..n-1, which `remap` copies."""
+        """A new read-only remapped sum of sessions 1..n-1, in the order of `remap`."""
+        return self._summed(self._bounds[-2])
+
+    def _summed(self, stop: int) -> np.ndarray:
         if self.n_sessions == 0:
             raise ConfigurationError("remap needs at least one session")
-        if self._prefix is None:
-            last = self._bounds[-2]
-            self._prefix = np.zeros((len(self._order), self.feature_dim))
-            # unbuffered: rows added in order
-            np.add.at(self._prefix, self._row_pos[:last], self._rows[:last])
-            self._prefix.flags.writeable = False
-        return self._prefix
+        matrix = np.zeros((len(self._order), self.feature_dim))
+        # unbuffered: rows added in order
+        np.add.at(matrix, self._row_pos[:stop], self._rows[:stop])
+        matrix.flags.writeable = False
+        return matrix
 
     def predict_many(self, features: np.ndarray) -> np.ndarray:
         """Predicted class index per row of `features` (shape (N, d)); ties

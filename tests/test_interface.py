@@ -667,6 +667,41 @@ class TestCli:
         assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
         assert "trial_3.json: line 4: not valid JSON" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["report.json", "trials/trial_2.json"])
+    @pytest.mark.parametrize("text", ["[]", '"x"', "3", "null"])
+    def test_report_names_a_file_that_is_not_an_object(self, tmp_path, capsys, name, text):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        path = tmp_path / "out" / name
+        path.write_text(text + "\n", encoding="utf-8")
+        assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
+        assert f"error: {path}: must be a JSON object" in capsys.readouterr().err
+
+    def test_rerun_with_a_smaller_k_removes_stale_trial_files(self, tmp_path):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config), "--k", "3"]) == 0
+        assert cli_main(["run", "--config", str(config), "--k", "2"]) == 0
+        trials = sorted(p.name for p in (tmp_path / "out" / "trials").iterdir())
+        assert trials == ["trial_1.json", "trial_2.json"]
+        assert cli_main(["report", "--in", str(tmp_path / "out")]) == 0
+
+    def test_overflowing_feature_exits_2_without_a_report(self, tmp_path, capsys):
+        # 1e200 is finite, but its square overflows the prototype's Gram matrix
+        spec = SynthSpec(session_label_sets=(("a", "b"), ("b", "c")), feature_dim=4,
+                         samples_per_class_per_session=8, subjects_per_session=4, seed=2)
+        write_stream(generate_stream(spec), tmp_path / "data")
+        csv_path = tmp_path / "data" / "session_1.csv"
+        lines = csv_path.read_bytes().split(b"\r\n")
+        cells = lines[1].split(b",")
+        cells[3] = b"1e200"
+        lines[1] = b",".join(cells)
+        csv_path.write_bytes(b"\r\n".join(lines))
+        config = self.run_config(tmp_path, data={"manifest": "data/manifest.json"})
+        with np.errstate(all="ignore"):
+            assert cli_main(["run", "--config", str(config)]) == 2
+        assert "ridge system has a non-finite entry" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     @pytest.mark.parametrize("field,value", [
         ("config.k", "3"), ("config.k", 2.9), ("config.k", True),
         ("mean_final", "0.5"), ("std_average", None), ("mean_per_session[1]", True),

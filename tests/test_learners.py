@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdil.core import ConfigurationError, ProtocolError
+from cdil.core import ConfigurationError, NumericalError, ProtocolError
 from cdil.learners import (FinetuneLearner, LearnerConfig, PrototypeLearner,
                            class_statistics, finetune_loss_and_grads, finetune_step,
                            make_learner, ridge_solve)
@@ -501,6 +501,15 @@ class TestRidgeSolve:
         C = rng.normals((m, 3))
         W, _ = ridge_solve(G, C, 1e9)
         assert np.linalg.norm(W) <= 1e-6 * np.linalg.norm(C)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    @pytest.mark.parametrize("where", ["gram", "targets"])
+    def test_non_finite_system_raises(self, where, bad):
+        # a NaN residual must not pass the tolerance check as a silent NaN head
+        system = {"gram": np.eye(3), "targets": np.ones((3, 2))}
+        system[where][1, 1] = bad
+        with pytest.raises(NumericalError, match="non-finite"):
+            ridge_solve(system["gram"], system["targets"], 1.0)
 
 
 class TestClassStatistics:

@@ -1,4 +1,5 @@
 import hashlib
+import logging
 import math
 from dataclasses import replace
 
@@ -7,10 +8,11 @@ import pytest
 
 from cdil.core import ConfigurationError, NumericalError
 from cdil.learners import FinetuneLearner, Learner, LearnerConfig
+import cdil.pipeline
 from cdil.pipeline import (ExperimentConfig, partition_sequence, run_experiment,
                            run_session, run_trial)
 from cdil.rng import substream
-from cdil.splitters import bind_folds
+from cdil.splitters import FoldAssignment, bind_folds
 from cdil.synth import SynthSpec, generate_stream
 
 
@@ -130,6 +132,33 @@ class TestRunSession:
             accs.append(correct / total)
         se = math.sqrt(p * (1 - p) / (len(accs) * n_eval))
         assert abs(float(np.mean(accs)) - p) <= 3 * se
+
+    def test_untrained_class_warning_names_the_trial(self, small_stream, caplog,
+                                                      monkeypatch):
+        # every sample of class 0 in session 1 is moved to fold 2, so trial 2
+        # trains on none of them
+        def starved(seq, k, seed, mode):
+            first, *rest = partition_sequence(seq, k, seed, mode)
+            folds = np.where(first.folds == 2, 1, first.folds)
+            folds[seq.sessions[0].labels == 0] = 2
+            return [FoldAssignment(1, k, mode, folds), *rest]
+
+        seq = small_stream
+        assignments = starved(seq, 5, 1, "ilcv")
+        warning = ("session 1: class 0 has no training samples in the bound split; "
+                   "nothing trains it this session")
+        caplog.set_level(logging.WARNING, logger="cdil.pipeline")
+        run_session(OracleLearner(seq), seq, bind_folds(assignments, 2), 1)
+        assert caplog.messages == [warning]
+        caplog.clear()
+        run_trial(quick_config(), seq, assignments, 2,
+                  learner_factory=lambda tau: OracleLearner(seq))
+        assert caplog.messages == [f"trial 2 {warning}"]
+        caplog.clear()
+        monkeypatch.setattr(cdil.pipeline, "build_sequence", lambda cfg: seq)
+        monkeypatch.setattr(cdil.pipeline, "partition_sequence", starved)
+        run_experiment(quick_config())
+        assert caplog.messages == [f"trial 2 {warning}"]
 
 
 class TestRunTrial:

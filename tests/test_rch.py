@@ -184,10 +184,10 @@ class TestRemap:
                     expected[position[c]] += row
             assert np.array_equal(state.remap(), expected)
 
-    def test_prefix_cache_equals_add_at_after_interleaved_writes(self):
-        # writes to the newest session reuse the kept sum of the earlier
-        # ones; writes to an earlier session and new sessions must drop it;
-        # a second remap with no write between returns an equal, new array
+    def test_sums_equal_add_at_after_interleaved_writes(self):
+        # writes to any session, and new sessions, show in the next remap and
+        # frozen sum; a second remap with no write between returns an equal,
+        # new array
         rng = Xoshiro256StarStar(777)
         for _ in range(40):
             dim = rng.randbelow(5) + 1
