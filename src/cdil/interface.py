@@ -15,12 +15,11 @@ Interchange formats, chosen to be bit-exactly documentable:
   f{d-1}`. A feature value is an ASCII float literal as `float` reads it:
   `.` decimal separator, no thousands or `_` separators, no non-ASCII digit
   or space. Floats are written with `repr`, so a write/load round-trip
-  reproduces values exactly. A file with no `"` or NUL, `\n` or `\r\n`
-  line ends and the header's columns on every line, as `write_stream`
-  writes it, is read in bulk: one pass over the lines takes the ids and
-  `np.loadtxt` parses the values. Any other file, and any the bulk checks
-  doubt, is read one CSV record at a time; that loop words every error,
-  naming the file, line and field.
+  reproduces values exactly. The records are checked in file order and the
+  first fault is worded, naming the file, line and field. A line with no
+  `"`, NUL or bare CR, as `write_stream` writes every line, is split at its
+  commas, and `csv.reader` reads the rest from any other line on. One
+  `np.loadtxt` call parses the values of a file read by splitting alone.
 
 * Report — `report.json` (full-precision machine output plus the config
   echo), `report.txt` (a one-row human table: per-session means, average
@@ -38,11 +37,10 @@ import csv
 import json
 import logging
 import os
-from array import array
 from collections import Counter
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields, replace
-from itertools import compress
+from itertools import chain, compress, islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -167,10 +165,7 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
     from both the samples and the session's label set, with a logged notice.
     """
     path = Path(entry.features_path)
-    expected_header = list(FEATURE_HEADER_FIXED) + [f"f{i}" for i in range(feature_dim)]
-    declared = set(entry.label_names)
-    ids, features = (_bulk_rows(path, expected_header, declared)
-                     or _checked_rows(path, expected_header, declared, entry.name))
+    ids, features = _read_features(path, entry, feature_dim)
     if not shared_subjects:
         ids = [(sample_id, f"s{session_index}:{subject_id}", name)
                for sample_id, subject_id, name in ids]
@@ -194,116 +189,106 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
                                 label_set={registry.index_of(name) for name in kept_names})
 
 
-# a `"` or NUL needs the CSV reader; `float` rejects the separators 0x1c-0x1f
-# that `np.loadtxt` strips as whitespace
-_ROW_LOOP_CHARS = '"\0\x1c\x1d\x1e\x1f'
+def _records(fh, path: Path):
+    """(first line, fields, field count, plain) of each CSV record in the open
+    feature file `fh`. A plain line, with no `"`, NUL or bare CR, is split at
+    its first three commas; `csv.reader` reads the rest from any other line on."""
+    for line_no, line in enumerate(fh, start=1):  # a bare CR ends a line too
+        if '"' in line or "\0" in line or line.endswith("\r"):
+            reader = csv.reader(chain([line], fh))
+            at = line_no  # the first line of the record read next
+            try:
+                for fields in reader:
+                    yield at, fields, len(fields), False
+                    at = line_no + reader.line_num
+            except csv.Error as exc:
+                raise DataLoadError(f"malformed CSV record: {exc}", path=path, line=at) from None
+            return
+        line = line.rstrip("\r\n")
+        yield line_no, line.split(",", 3), line.count(",") + 1 if line else 0, True
 
 
-def _bulk_rows(path: Path, expected_header: list[str], declared: set[str]):
-    """The (ids, features) of a feature file as `write_stream` writes it, or None.
-
-    One pass over the lines takes the id columns and checks that every line
-    ends in a newline, holds exactly the header's columns and no character of
-    `_ROW_LOOP_CHARS`, and that its feature values are ASCII; the ids must be
-    unique and their labels declared. `np.loadtxt` then parses the values,
-    which must be finite. Any other file gives None, not an error: the row
-    loop may reject it, or read it differently."""
-    columns = len(expected_header)
-    header = ",".join(expected_header)
-    ids: list[tuple[str, str, str]] = []
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:  # a bare \r ends a line too
-            if next(fh, "") not in (header + "\r\n", header + "\n"):
-                return None
-            for line in fh:
-                *row_ids, values = line.split(",", 3)
-                if (not line.endswith("\n") or line.count(",") != columns - 1
-                        or not values.isascii()
-                        or any(char in line for char in _ROW_LOOP_CHARS)):
-                    return None
-                ids.append(tuple(row_ids))
-        if not ids:
-            return None
-        sample_ids, _, names = zip(*ids)
-        if len(set(sample_ids)) != len(ids) or not declared.issuperset(names):
-            return None
-        features = np.loadtxt(path, delimiter=",", skiprows=1, usecols=range(3, columns),
-                              comments=None, quotechar=None, ndmin=2, encoding="utf-8")
-    except ValueError:  # UnicodeDecodeError included
-        return None
-    if features.shape != (len(ids), columns - 3) or not np.isfinite(features).all():
-        return None
-    return ids, features
-
-
-def _checked_rows(path: Path, expected_header: list[str], declared: set[str],
-                  session: str):
-    """The (ids, features) of a feature file, read one CSV record at a time;
-    any fault raises DataLoadError naming the file, line and field."""
-    feature_dim = len(expected_header) - 3
+def _read_features(path: Path, entry: SessionEntry, feature_dim: int):
+    """The (ids, features) of a feature file. The records are checked in file order
+    up to the first fault; a DataLoadError names the file, line and field of a value
+    `float` refuses before it, else of the fault, else of the first non-finite row."""
+    columns = feature_dim + 3
+    header_text = ",".join([*FEATURE_HEADER_FIXED, *(f"f{i}" for i in range(feature_dim))])
     ids: list[tuple[str, str, str]] = []  # (sample id, subject id, label name) per row
-    values = array("d")  # the feature rows, end to end
-    lines: list[int] = []  # the first physical line of each row
-    line_no = 1  # the first line of the record being read
+    lines: list[int] = []  # the first line of each row
+    fault = None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
+            records = _records(fh, path)
+            _, header, count, plain = next(records, (1, None, 0, True))
             if header is None:
                 raise DataLoadError("empty feature file", path=path, line=1)
-            if header != expected_header:
-                if len(header) != len(expected_header):
-                    raise DataLoadError(
-                        f"header has {len(header)} columns, expected {len(expected_header)} "
-                        f"for feature_dim {feature_dim}", path=path, line=1, field="header")
-                raise DataLoadError("header does not match the documented format",
-                                    path=path, line=1, field="header")
+            if ",".join(header) != header_text:
+                raise DataLoadError(
+                    "header does not match the documented format" if count == columns else
+                    f"header has {count} columns, expected {columns} for feature_dim "
+                    f"{feature_dim}", path=path, line=1, field="header")
             seen_ids: set[str] = set()
-            line_no = reader.line_num + 1
-            for row in reader:
-                if len(row) != len(expected_header):
-                    raise DataLoadError(
-                        f"expected {len(expected_header)} columns, got {len(row)}",
-                        path=path, line=line_no)
-                sample_id, subject_id, label_name = row[0], row[1], row[2]
+            for line_no, fields, count, plain in records:
+                if count != columns:
+                    raise DataLoadError(f"expected {columns} columns, got {count}",
+                                        path=path, line=line_no)
+                sample_id, subject_id, label_name = fields[:3]
                 if sample_id in seen_ids:
                     raise DataLoadError(f"duplicate sample_id {sample_id!r}",
                                         path=path, line=line_no, field="sample_id")
                 seen_ids.add(sample_id)
-                if label_name not in declared:
+                if label_name not in entry.label_names:
                     raise DataLoadError(
-                        f"label {label_name!r} is not declared for session {session!r}",
+                        f"label {label_name!r} is not declared for session {entry.name!r}",
                         path=path, line=line_no, field="label")
-                text = "".join(row[3:])
-                try:
-                    if not text.isascii() or "_" in text:  # `float` reads 1_0 and ١
-                        raise ValueError
-                    values.extend(map(float, row[3:]))
-                except ValueError:
+                # `float` reads 1_0 and ١, `np.loadtxt` reads 0x1c-0x1f as spaces
+                values = ",".join(fields[3:])
+                if not values.isascii() or any(char in values for char in "_\x1c\x1d\x1e\x1f"):
                     raise DataLoadError("non-numeric feature value",
-                                        path=path, line=line_no, field="features") from None
+                                        path=path, line=line_no, field="features")
                 ids.append((sample_id, subject_id, label_name))
                 lines.append(line_no)
-                line_no = reader.line_num + 1
-    except csv.Error as exc:
-        raise DataLoadError(f"malformed CSV record: {exc}", path=path, line=line_no) from None
+    except DataLoadError as exc:
+        fault = exc
     except UnicodeDecodeError as exc:
         raw = path.read_bytes()  # exc.start counts from the decoder's chunk, not the file
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as whole:
             exc = whole
-        raise DataLoadError(f"not valid UTF-8: {exc.reason}", path=path,
-                            line=raw.count(b"\n", 0, exc.start) + 1) from None
-
+        fault = DataLoadError(f"not valid UTF-8: {exc.reason}", path=path,
+                              line=raw.count(b"\n", 0, exc.start) + 1)
+    features = _values(path, len(ids), feature_dim, plain) if ids else None
+    if fault is not None:
+        raise fault
     if not ids:
         raise DataLoadError("feature file has no data rows", path=path, line=2)
-    features = np.frombuffer(values, dtype=np.float64).reshape(len(ids), feature_dim)
     non_finite = np.flatnonzero(~np.isfinite(features).all(axis=1))
     if len(non_finite):
         raise DataLoadError("non-finite feature value",
                             path=path, line=lines[non_finite[0]], field="features")
     return ids, features
+
+
+def _values(path: Path, n: int, dim: int, plain: bool) -> np.ndarray:
+    """The values of a checked feature file's first n records: one `np.loadtxt`
+    call if all are plain lines, else, or where it refuses a value, `float` one
+    record at a time, so that a value it refuses names its line."""
+    if plain:
+        with suppress(ValueError):  # UnicodeDecodeError past the checked records included
+            return np.loadtxt(path, delimiter=",", skiprows=1, max_rows=n,
+                              usecols=range(3, 3 + dim), comments=None, quotechar=None,
+                              ndmin=2, encoding="utf-8")
+    values = np.full((n, dim), np.nan)  # rows a file cut short since the check lost stay NaN
+    with open(path, newline="", encoding="utf-8") as fh:
+        for row, (line_no, fields, _, plain) in zip(values, islice(_records(fh, path), 1, None)):
+            try:
+                row[:] = list(map(float, fields[3].split(",") if plain else fields[3:]))
+            except ValueError:
+                raise DataLoadError("non-numeric feature value",
+                                    path=path, line=line_no, field="features") from None
+    return values
 
 
 def load_sequence(manifest: Manifest | str | Path) -> SessionSequence:

@@ -11,8 +11,8 @@ module and numpy's default streams are never used.
 a time: the state update is GF(2)-linear, so lanes started by jumps are the
 sequential stream laid end to end; numpy does only what IEEE 754 fixes
 exactly, and log, sin and cos stay on `math`. `shuffle` draws its words as one
-block too, unless it has few items, and falls back to one `randbelow` at a time
-if that block holds a word `randbelow` would reject.
+block too, and falls back to one `randbelow` at a time if that block holds a
+word `randbelow` would reject.
 
 Substreams are derived by hashing an ordered tuple of purpose tags
 (experiment seed, session index, protocol name, ...) with SHA-256 and
@@ -57,7 +57,6 @@ def _rotl(x: int, k: int) -> int:
 
 
 _LANE_STEPS, _MIN_BLOCK, _CHUNK = 64, 640, 4096  # lane length, least block, normals per block
-_MIN_BLOCK_SHUFFLE = 20  # below it a block's fixed numpy cost outweighs the draws it saves
 _JUMPS: list[np.ndarray] = []  # [k]: (64, 16, 4) table of _LANE_STEPS * 2**k steps, built on use
 
 
@@ -145,21 +144,17 @@ class Xoshiro256StarStar:
     def shuffle(self, items: MutableSequence) -> None:
         """In-place Fisher-Yates shuffle, j = randbelow(i + 1) for i = n-1..1.
 
-        From `_MIN_BLOCK_SHUFFLE` items on, all n-1 words are drawn as one block;
-        if `randbelow` would reject any of them, the state is restored and the
-        draws are made one at a time, as they are for fewer items."""
+        All n-1 words are drawn as one block; if `randbelow` would reject any
+        of them, the state is restored and the draws are made one at a time."""
         n = len(items)
-        picks = None
-        if n >= _MIN_BLOCK_SHUFFLE:
-            saved = self._s0, self._s1, self._s2, self._s3
-            bounds = np.arange(n, 1, -1, dtype=np.uint64)
-            values = self._u64s(n - 1)
-            mask = np.uint64(_MASK64)
-            if (values <= mask - mask % bounds).all():
-                picks = (values % bounds).tolist()
-            else:
-                self._s0, self._s1, self._s2, self._s3 = saved
-        if picks is None:
+        saved = self._s0, self._s1, self._s2, self._s3
+        bounds = np.arange(n, 1, -1, dtype=np.uint64)
+        values = self._u64s(len(bounds))
+        mask = np.uint64(_MASK64)
+        if (values <= mask - mask % bounds).all():
+            picks = (values % bounds).tolist()
+        else:
+            self._s0, self._s1, self._s2, self._s3 = saved
             picks = [self.randbelow(i + 1) for i in range(n - 1, 0, -1)]
         for i, j in zip(range(n - 1, 0, -1), picks):
             items[i], items[j] = items[j], items[i]

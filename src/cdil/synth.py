@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigurationError, LabelRegistry, SessionDataset, SessionSequence,
+from .core import (LabelRegistry, SessionDataset, SessionSequence,
                    check_int, check_list, check_names, check_real)
 from .rng import substream
 
@@ -50,8 +50,11 @@ class SynthSpec:
         object.__setattr__(self, "session_label_sets", tuple(
             check_names("session_label_sets", labels, 2 if t == 1 else 1)
             for t, labels in enumerate(label_sets, start=1)))
-        for name in ("feature_dim", "samples_per_class_per_session", "subjects_per_session"):
+        for name in ("feature_dim", "samples_per_class_per_session"):
             check_int(name, getattr(self, name), 1)
+        # every class of a session is dealt at least one subject
+        check_int("subjects_per_session", self.subjects_per_session,
+                  max(map(len, self.session_label_sets)))
         check_int("seed", self.seed)
         for name in ("class_separation", "domain_shift", "subject_shift", "noise_sigma"):
             check_real(name, getattr(self, name), 0)
@@ -81,10 +84,6 @@ def generate_stream(spec: SynthSpec) -> SessionSequence:
 
     sessions = []
     for t, labels in enumerate(spec.session_label_sets, start=1):
-        if spec.subjects_per_session < len(labels):
-            raise ConfigurationError(
-                f"session {t}: {spec.subjects_per_session} subjects cannot cover "
-                f"{len(labels)} classes")
         session_shift = _direction(substream(spec.seed, "session-shift", t),
                                    spec.feature_dim, spec.domain_shift)
         subject_ids = [f"s{t}:p{i:02d}" for i in range(spec.subjects_per_session)]

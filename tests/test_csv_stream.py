@@ -9,7 +9,7 @@ import json
 import logging
 from array import array
 from collections import Counter
-from itertools import compress
+from itertools import chain, compress
 from pathlib import Path
 
 import numpy as np
@@ -182,16 +182,16 @@ def test_write_stream_bytes_equal_the_reference_and_round_trip(tmp_path_factory,
 
 
 def test_written_stream_takes_the_bulk_path(tmp_path, monkeypatch):
-    """A file `write_stream` wrote is parsed without the CSV reader; were the
-    bulk path always to give up, the row loop would load it just the same."""
+    """Every line `write_stream` writes is plain, with no `"`, NUL or bare CR,
+    so the loader splits each at its commas and never starts the CSV reader."""
     seq = generate_stream(SynthSpec(feature_dim=7, samples_per_class_per_session=4,
                                     subjects_per_session=8, seed=5))
     manifest = write_stream(seq, tmp_path / "stream")
 
-    def row_loop(*args, **kwargs):
-        raise AssertionError("the row loop read a file write_stream wrote")
+    def csv_reader(*args, **kwargs):
+        raise AssertionError("the CSV reader read a file write_stream wrote")
 
-    monkeypatch.setattr(cdil.interface.csv, "reader", row_loop)
+    monkeypatch.setattr(cdil.interface.csv, "reader", csv_reader)
     loaded = load_sequence(manifest)
     for orig, back in zip(seq.sessions, loaded.sessions, strict=True):
         assert back.sample_ids == orig.sample_ids
@@ -230,7 +230,7 @@ def damaged_feature_file(data, dim):
     for damage in damages:
         i = 0 if damage == "header" or not rows else data.draw(st.integers(1, len(rows)))
         record = records[i]
-        if damage in ("value", "header"):
+        if damage in ("value", "header") and len(record) > 3:  # a value field is left
             record[data.draw(st.integers(3, len(record) - 1))] = \
                 data.draw(st.sampled_from(VALUES + ["f0", "f9", "x"]))
         elif damage == "id":
@@ -374,3 +374,28 @@ ONE_DAMAGE = {
 @pytest.mark.parametrize("raw", ONE_DAMAGE.values(), ids=ONE_DAMAGE.keys())
 def test_each_damage_loads_as_the_reference(tmp_path, raw):
     assert_loads_as_the_reference(tmp_path / "s.csv", raw, 2)
+
+
+@pytest.mark.parametrize("raw", [CLEAN.replace(b"x1,", b'"x1",'), CLEAN.replace(b"q,", b"q\0,"),
+                                 CLEAN.replace(b"2.0\r\n", b"2.0\r")],
+                         ids=["quote", "nul", "bare cr"])
+def test_the_csv_reader_starts_at_the_first_line_that_is_not_plain(tmp_path, monkeypatch, raw):
+    """The lines before the first one with a `"`, NUL or bare CR are split at
+    their commas; `csv.reader` is handed that line first each time it starts."""
+    reader, first_lines = csv.reader, []
+
+    def spy(lines, *args, **kwargs):
+        lines = iter(lines)
+        first = next(lines)
+        first_lines.append(first)
+        return reader(chain([first], lines), *args, **kwargs)
+
+    path = tmp_path / "s.csv"
+    path.write_bytes(raw)
+    entry = SessionEntry(name="s", label_names=LABELS, features_path=str(path))
+    monkeypatch.setattr(cdil.interface.csv, "reader", spy)
+    load_session_features(entry, LabelRegistry(("c",) + LABELS), 2, 1)
+    monkeypatch.undo()
+    assert first_lines
+    assert {line[:3] for line in first_lines} == {raw.split(b"\n")[2][:3].decode("utf-8")}
+    assert_loads_as_the_reference(path, raw, 2)

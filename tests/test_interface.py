@@ -834,6 +834,23 @@ class TestCli:
                 in capsys.readouterr().err)
         assert not (tmp_path / "d").exists()
 
+    def test_too_few_subjects_exit_2_naming_the_file_and_field(self, tmp_path, capsys):
+        # a session's classes each need a subject: the spec fails as it is
+        # read, naming the field, not later as the stream is generated
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps({"subjects_per_session": 3}), encoding="utf-8")
+        assert cli_main(["synth", "--spec", str(spec_path), "--out", str(tmp_path / "d")]) == 2
+        assert (f"error: {spec_path}: field 'subjects_per_session': must be an integer >= 7, "
+                f"got 3" in capsys.readouterr().err)
+        assert not (tmp_path / "d").exists()
+        config = self.run_config(tmp_path)
+        data = json.loads(config.read_text(encoding="utf-8"))
+        data["data"]["synthetic"]["subjects_per_session"] = 1
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert (f"error: {config}: field 'data.synthetic.subjects_per_session': must be an "
+                f"integer >= 2, got 1" in capsys.readouterr().err)
+
     @pytest.mark.parametrize("learner", ["finetune", "prototype"])
     @pytest.mark.parametrize("protocol", ["slcv", "ilcv"])
     def test_config_echo_reruns_to_the_same_bytes(self, tmp_path, learner, protocol):

@@ -169,19 +169,23 @@ def test_block_shuffle_equals_randbelow_fisher_yates():
         assert _state(block) == _state(scalar), n
 
 
-@pytest.mark.parametrize("n,blocks", [(0, 0), (2, 0), (rng_module._MIN_BLOCK_SHUFFLE - 1, 0),
-                                      (rng_module._MIN_BLOCK_SHUFFLE, 1), (1500, 1)])
-def test_small_shuffles_skip_the_block_draw(monkeypatch, n, blocks):
-    # the equivalence test above covers both branches' results; this pins which runs
+@pytest.mark.parametrize("n", [0, 1, 2, 19, 20, 1500])
+def test_every_shuffle_draws_one_block(monkeypatch, n):
+    # small or large, a shuffle draws its n-1 words in one `_u64s` call and,
+    # with no word rejected, never calls `randbelow`
     u64s, calls = Xoshiro256StarStar._u64s, []
 
     def counted(self, size):
         calls.append(size)
         return u64s(self, size)
 
+    def no_randbelow(self, bound):
+        raise AssertionError("randbelow drew a shuffle position")
+
     monkeypatch.setattr(Xoshiro256StarStar, "_u64s", counted)
+    monkeypatch.setattr(Xoshiro256StarStar, "randbelow", no_randbelow)
     substream(5, "branch").shuffle(list(range(n)))
-    assert calls == [n - 1] * blocks
+    assert calls == [max(n - 1, 0)]
 
 
 def test_block_shuffle_falls_back_to_randbelow_on_a_rejected_word(monkeypatch):

@@ -34,8 +34,8 @@ class TestStructure:
             assert set(session.labels.tolist()) == session.label_set
 
     def test_too_few_subjects_for_classes_rejected(self):
-        with pytest.raises(ConfigurationError):
-            generate_stream(SynthSpec(subjects_per_session=3, seed=0))
+        with pytest.raises(ConfigurationError, match="subjects_per_session"):
+            SynthSpec(subjects_per_session=3, seed=0)
 
     @pytest.mark.parametrize("kwargs", [
         {"feature_dim": "64"},
