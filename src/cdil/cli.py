@@ -160,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (DataLoadError, ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

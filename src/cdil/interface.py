@@ -24,7 +24,9 @@ Interchange formats, chosen to be bit-exactly documentable:
 * Report — `report.json` (full-precision machine output plus the config
   echo), `report.txt` (a one-row human table: per-session means, average
   and final accuracy in percent to two decimals), and `trials/trial_N.json`
-  per trial for re-aggregation, read back through `TrialResult`.
+  per trial for re-aggregation. Both JSON records are read back as manifests
+  are, through `ExperimentReport` and `TrialResult`, whose checks name the
+  file and field; the keys `to_dict` derives from the fields are skipped.
 
 Unless `shared_subjects` is true, raw subject ids are namespaced per session
 (`s{t}:{raw}`): sessions come from distinct datasets, so identical raw ids
@@ -100,6 +102,11 @@ def read_json(path: str | Path):
         raise DataLoadError("file not found", path=path) from None
     except json.JSONDecodeError as exc:
         raise DataLoadError(f"not valid JSON: {exc}", path=path, line=exc.lineno) from None
+    except UnicodeDecodeError as exc:  # `read` decodes the whole file: `start` is its offset
+        raise DataLoadError(f"not valid UTF-8: {exc.reason}", path=path,
+                            line=exc.object.count(b"\n", 0, exc.start) + 1) from None
+    except OSError as exc:
+        raise DataLoadError(f"cannot be read: {exc.strerror or exc}", path=path) from None
 
 
 def json_object(value, path: str | Path, field: str | None = None) -> dict:
@@ -133,6 +140,8 @@ def read_checked(cls, data, path: str | Path, field: str | None = None):
     except ConfigurationError as exc:
         raise DataLoadError(exc.reason, path=path,
                             field=f"{field}.{exc.field}" if field else exc.field) from None
+    except ProtocolError as exc:  # a fault across fields, such as invalid counts
+        raise DataLoadError(str(exc), path=path, field=field) from None
 
 
 def load_manifest(path: str | Path) -> Manifest:
@@ -223,7 +232,7 @@ def _read_features(path: Path, entry: SessionEntry, feature_dim: int):
             _, header, count, plain = next(records, (1, None, 0, True))
             if header is None:
                 raise DataLoadError("empty feature file", path=path, line=1)
-            if ",".join(header) != header_text:
+            if count != columns or ",".join(header) != header_text:
                 raise DataLoadError(
                     "header does not match the documented format" if count == columns else
                     f"header has {count} columns, expected {columns} for feature_dim "
@@ -403,22 +412,18 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
     return report_path
 
 
-def _load_record(path: Path, from_dict):
-    """`from_dict` of a JSON file holding an object; a missing or malformed
-    field, or a value that is not an object, raises DataLoadError naming the file."""
-    data = json_object(read_json(path), path)
-    try:
-        return from_dict(data)
-    except ConfigurationError as exc:
-        raise DataLoadError(exc.reason, path=path, field=exc.field) from None
-    except KeyError as exc:
-        raise DataLoadError("missing required field", path=path, field=str(exc.args[0])) from None
-    except (TypeError, ValueError, ProtocolError) as exc:
-        raise DataLoadError(f"malformed record: {exc}", path=path) from None
+def _read_record(cls, data, path: Path, field: str | None = None):
+    """`read_checked`, skipping the keys `cls.to_dict` derives from the fields."""
+    if isinstance(data, dict):
+        data = {key: value for key, value in data.items() if key not in cls.DERIVED}
+    return read_checked(cls, data, path, field)
 
 
 def load_report(path: str | Path) -> ExperimentReport:
-    return _load_record(Path(path), ExperimentReport.from_dict)
+    # `trials` holds the raw JSON entries until each is read below
+    report = _read_record(ExperimentReport, read_json(path), path)
+    return replace(report, trials=tuple(_read_record(TrialResult, raw, path, f"trials[{i}]")
+                                        for i, raw in enumerate(report.trials, start=1)))
 
 
 def reaggregate_trials(run_dir: str | Path) -> ExperimentReport:
@@ -434,7 +439,7 @@ def reaggregate_trials(run_dir: str | Path) -> ExperimentReport:
     recorded = load_report(report_path)
     k = recorded.config.get("k", recorded.k)
     trials_dir = run_dir / "trials"
-    trials = [_load_record(p, TrialResult.from_dict)
+    trials = [_read_record(TrialResult, read_json(p), p)
               for p in sorted(trials_dir.glob("trial_*.json"))]
     indices = sorted(t.trial_index for t in trials)
     if indices != list(range(1, k + 1)):

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .core import ProtocolError, check_int, check_list, check_real
+from .core import ConfigurationError, ProtocolError, check_int, check_list, check_real
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,8 @@ class TrialResult:
     trial_index: int
     correct: tuple[int, ...]
     total: tuple[int, ...]
+
+    DERIVED = ("per_session_accuracy", "final_accuracy", "average_accuracy")  # by `to_dict`
 
     def __post_init__(self):
         check_int("trial_index", self.trial_index, 1)
@@ -56,10 +58,6 @@ class TrialResult:
             "average_accuracy": average_accuracy(self),
         }
 
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "TrialResult":
-        return cls(trial_index=data["trial_index"], correct=data["correct"], total=data["total"])
-
 
 def final_accuracy(result: TrialResult) -> float:
     """Accuracy after the last session."""
@@ -84,6 +82,20 @@ class ExperimentReport:
     std_average: float
     config: dict[str, Any] = field(default_factory=dict)
 
+    DERIVED = ("k", "n_sessions")  # by `to_dict`
+
+    def __post_init__(self):
+        object.__setattr__(self, "trials", check_list("trials", self.trials, 1))
+        object.__setattr__(self, "mean_per_session",
+                           check_list("mean_per_session", self.mean_per_session))
+        for i, value in enumerate(self.mean_per_session):
+            check_real(f"mean_per_session[{i}]", value)
+        for name in ("mean_final", "mean_average", "std_final", "std_average"):
+            check_real(name, getattr(self, name))
+        if not isinstance(self.config, dict):
+            raise ConfigurationError(f"must be a JSON object, got {self.config!r}", "config")
+        check_int("config.k", self.config.get("k", 1), 1)  # k is optional
+
     @property
     def n_sessions(self) -> int:
         return self.trials[0].n_sessions
@@ -104,26 +116,6 @@ class ExperimentReport:
             "std_final": self.std_final,
             "std_average": self.std_average,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ExperimentReport":
-        config = dict(data.get("config", {}))
-        if "k" in config:
-            check_int("config.k", config["k"], 1)
-        per_session = check_list("mean_per_session", data["mean_per_session"])
-        for i, value in enumerate(per_session):
-            check_real(f"mean_per_session[{i}]", value)
-        for name in ("mean_final", "mean_average", "std_final", "std_average"):
-            check_real(name, data[name])
-        return cls(
-            trials=tuple(TrialResult.from_dict(t) for t in data["trials"]),
-            mean_per_session=tuple(map(float, per_session)),
-            mean_final=float(data["mean_final"]),
-            mean_average=float(data["mean_average"]),
-            std_final=float(data["std_final"]),
-            std_average=float(data["std_average"]),
-            config=config,
-        )
 
 
 def _sample_std(values: Sequence[float]) -> float:

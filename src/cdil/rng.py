@@ -56,7 +56,8 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
-_LANE_STEPS, _MIN_BLOCK, _CHUNK = 64, 640, 4096  # lane length, least block, normals per block
+# below _MIN_BLOCK words the scalar loop is faster than jumping the lanes (timeit, 2-CPU x86)
+_LANE_STEPS, _MIN_BLOCK, _CHUNK = 64, 1600, 4096  # lane length, least block, normals per block
 _JUMPS: list[np.ndarray] = []  # [k]: (64, 16, 4) table of _LANE_STEPS * 2**k steps, built on use
 
 

@@ -350,7 +350,9 @@ ONE_DAMAGE = {
     **{f"header {header!r}": csv_bytes(with_row(0, header)) for header in (
         ["sample_id", "subject_id", "label", "f0"], ["sample_id", "subject", "label", "f0", "f1"],
         ["sample_id", "subject_id", "label", "f0", " f1"],
-        ["sample_id", "subject_id", "label", "f0", "f1 "])},
+        ["sample_id", "subject_id", "label", "f0", "f1 "],
+        ["sample_id,subject_id", "label", "f0", "f1"])},
+    "quoted header field": CLEAN.replace(b"f1\r\n", b'"f1"\r\n', 1),
     "lf endings": csv_bytes(ROWS, "\n"),
     "bare cr endings": csv_bytes(ROWS, "\r"),
     "every field quoted": csv_bytes(ROWS, quoting=csv.QUOTE_ALL),

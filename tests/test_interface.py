@@ -248,6 +248,56 @@ def test_fuzzed_feature_csv_loads_or_names_the_csv(written_stream, data):
 
 
 @pytest.fixture(scope="module")
+def written_run(tmp_path_factory):
+    trials = [TrialResult(trial_index=i, correct=(3 + i, 40), total=(10, 50)) for i in (1, 2, 3)]
+    report = aggregate(trials, config={"protocol": "slcv", "k": 3,
+                                       "learner": {"variant": "prototype"}})
+    return write_report(report, tmp_path_factory.mktemp("fuzz") / "run").parent
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_fuzzed_report_loads_or_names_the_file(written_run, data):
+    """report.json or a trial file from `write_report`, in which one key, one
+    `trials` entry or one key of such an entry holds a value of another JSON
+    type: re-aggregation succeeds or raises DataLoadError naming that file, and
+    nothing else. A `config` that is not an object never loads."""
+    names = ["report.json"] + [f"trials/trial_{t}.json" for t in (1, 2, 3)]
+    path = written_run / data.draw(st.sampled_from(names))
+    original = path.read_text(encoding="utf-8")
+    record = json.loads(original)
+    entries = record.get("trials", [])
+    targets = [(record, key) for key in record] + [(entries, i) for i in range(len(entries))]
+    targets += [(entry, key) for entry in entries for key in entry]
+    owner, key = data.draw(st.sampled_from(targets))
+    kind = json_kind(owner[key])
+    owner[key] = data.draw(JSON_VALUES.filter(lambda v: json_kind(v) != kind))
+    path.write_text(json.dumps(record), encoding="utf-8")
+    try:
+        reaggregate_trials(written_run)
+    except DataLoadError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert not (owner is record and key == "config")
+    finally:
+        path.write_text(original, encoding="utf-8")
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=JSON_VALUES.filter(lambda v: not isinstance(v, dict)))
+def test_a_report_config_that_is_not_an_object_never_loads(written_run, config):
+    """`dict()` would read `[]` or `[["k", 3]]` as a config: no such value loads."""
+    path = written_run / "report.json"
+    original = path.read_text(encoding="utf-8")
+    path.write_text(json.dumps({**json.loads(original), "config": config}), encoding="utf-8")
+    try:
+        with pytest.raises(DataLoadError, match=re.escape(f"{path}: field 'config': ")):
+            reaggregate_trials(written_run)
+    finally:
+        path.write_text(original, encoding="utf-8")
+
+
+@pytest.fixture(scope="module")
 def default_stream_dir(tmp_path_factory):
     """`cdil synth` of the default spec: session 1's CSV is about 250 kB."""
     out = tmp_path_factory.mktemp("default") / "stream"
@@ -677,6 +727,46 @@ class TestCli:
         assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
         assert f"error: {path}: must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name,edit,error", [
+        ("report.json", lambda d: d.update(colour=1), "unknown key(s) ['colour']"),
+        ("report.json", lambda d: d["trials"][1].update(colour=1),
+         "field 'trials[2]': unknown key(s) ['colour']"),
+        ("report.json", lambda d: d.update(trials=[1]), "field 'trials[1]': must be a JSON object"),
+        ("trials/trial_2.json", lambda d: d.update(colour=1), "unknown key(s) ['colour']"),
+        ("trials/trial_2.json", lambda d: d.update(correct=[99, 1]), "invalid counts (99, "),
+    ], ids=["report-key", "trials-entry-key", "trials-entry-int", "trial-key", "trial-counts"])
+    def test_report_names_the_file_and_field_of_a_bad_record(self, tmp_path, capsys,
+                                                              name, edit, error):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        path = tmp_path / "out" / name
+        data = json.loads(path.read_text(encoding="utf-8"))
+        edit(data)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {path}: {error}" in err
+        assert "malformed record" not in err
+
+    def test_a_config_path_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys):
+        assert cli_main(["run", "--config", str(tmp_path)]) == 2
+        assert f"error: {tmp_path}: cannot be read" in capsys.readouterr().err
+
+    def test_a_trial_file_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        trial = tmp_path / "out" / "trials" / "trial_1.json"
+        trial.unlink()
+        trial.mkdir()
+        assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
+        assert f"error: {trial}: cannot be read" in capsys.readouterr().err
+
+    def test_a_config_that_is_not_utf8_exits_2_naming_the_file_and_line(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b'{\n  "protocol": "ilcv",\n  "out": "r\xe9sultats"\n}\n')
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert f"error: {config}: line 3: not valid UTF-8" in capsys.readouterr().err
+
     def test_rerun_with_a_smaller_k_removes_stale_trial_files(self, tmp_path):
         config = self.run_config(tmp_path)
         assert cli_main(["run", "--config", str(config), "--k", "3"]) == 0
@@ -705,6 +795,7 @@ class TestCli:
     @pytest.mark.parametrize("field,value", [
         ("config.k", "3"), ("config.k", 2.9), ("config.k", True),
         ("mean_final", "0.5"), ("std_average", None), ("mean_per_session[1]", True),
+        ("config", []), ("config", [["k", 3]]), ("config", "x"),
     ])
     def test_report_rejects_a_wrongly_typed_report_field(self, tmp_path, capsys, field, value):
         config = self.run_config(tmp_path)

@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,11 @@ def trial_from_accuracies(accuracies, trial_index=1, total=10000):
     correct = tuple(round(a * total) for a in accuracies)
     return TrialResult(trial_index=trial_index, correct=correct,
                        total=tuple([total] * len(accuracies)))
+
+
+def from_fields(cls, record):
+    """`cls` built from the keys of `record` that name its fields."""
+    return cls(**{f.name: record[f.name] for f in fields(cls)})
 
 
 class TestFinalAccuracy:
@@ -64,8 +71,11 @@ class TestTrialResult:
             TrialResult(trial_index=1, correct=(), total=())
 
     def test_round_trips_through_dict(self):
+        # `to_dict` writes the fields and the keys in DERIVED; the fields rebuild the trial
         trial = TrialResult(trial_index=2, correct=(3, 7), total=(4, 9))
-        assert TrialResult.from_dict(trial.to_dict()) == trial
+        record = trial.to_dict()
+        assert set(record) == {f.name for f in fields(TrialResult)} | set(TrialResult.DERIVED)
+        assert from_fields(TrialResult, record) == trial
 
 
 class TestAggregate:
@@ -96,8 +106,28 @@ class TestAggregate:
     def test_report_round_trips_through_dict(self):
         trials = [trial_from_accuracies([0.25, 0.5], 1), trial_from_accuracies([0.75, 0.5], 2)]
         report = aggregate(trials, config={"seed": 3})
-        again = ExperimentReport.from_dict(report.to_dict())
+        record = report.to_dict()
+        assert set(record) == ({f.name for f in fields(ExperimentReport)}
+                               | set(ExperimentReport.DERIVED))
+        again = from_fields(ExperimentReport, record)
+        again = replace(again, trials=tuple(from_fields(TrialResult, t) for t in again.trials))
         assert again == report
+
+    @pytest.mark.parametrize("change,error", [
+        ({"trials": ()}, "trials must be a list of length >= 1"),
+        ({"mean_per_session": 0.5}, "mean_per_session must be a list"),
+        ({"mean_per_session": (0.5, "x")}, "mean_per_session[1] must be a finite number"),
+        ({"mean_final": float("nan")}, "mean_final must be a finite number"),
+        ({"std_average": True}, "std_average must be a finite number"),
+        ({"config": []}, "config must be a JSON object, got []"),
+        ({"config": {"k": 0}}, "config.k must be an integer >= 1, got 0"),
+        ({"config": {"k": 2.0}}, "config.k must be an integer >= 1, got 2.0"),
+    ])
+    def test_report_checks_its_fields(self, change, error):
+        report = aggregate([trial_from_accuracies([0.25, 0.5], 1)], config={"k": 1})
+        with pytest.raises(ConfigurationError) as raised:
+            replace(report, **change)
+        assert str(raised.value).startswith(error)
 
 
 @settings(max_examples=200, deadline=None)
