@@ -434,7 +434,7 @@ def reaggregate_trials(run_dir: str | Path) -> ExperimentReport:
     """
     run_dir = Path(run_dir)
     report_path = run_dir / "report.json"
-    if not report_path.is_file():
+    if not report_path.exists():
         raise ProtocolError(f"{report_path} not found; it records the fold count k")
     recorded = load_report(report_path)
     k = recorded.config.get("k", recorded.k)

@@ -11,12 +11,14 @@ Two variants mirror the benchmark's baselines at linear desk scale:
   trials of an experiment train stacked, bit for bit as each would alone.
 
 * ``prototype`` — a frozen random projection followed by a nonlinearity,
-  with per-session second-moment and per-class sum statistics solved by
-  ridge regression into that session's head rows. The statistics are
-  batched over the training split in (label, sample id) order, so they are
-  bitwise independent of sample order. The projection is drawn once per
-  experiment, shared by its trials, and never changes, so all adaptation
-  lives in the heads.
+  with each session's head rows the ridge regression of its classes'
+  one-hot targets on the projected training split. The split is taken in
+  (label, sample id) order, so the heads are bitwise independent of sample
+  order. The ridge is solved in the smaller space: with at least as many
+  rows as head features (and always in ``cumulative`` mode) from the
+  second-moment and per-class sum statistics, else from the rows' n×n
+  kernel matrix. The projection is drawn once per experiment, shared by its
+  trials, and never changes, so all adaptation lives in the heads.
 
 The default learning rate is 0.05: the published schedule (batch 16,
 60 epochs then 10 per later session) is kept, but its 2e-5 rate targets
@@ -266,8 +268,10 @@ def train_finetune(learners: Sequence[FinetuneLearner], splits: Sequence[tuple],
 
 def ridge_solve(gram: np.ndarray, targets: np.ndarray, lam: float):
     """Solve (gram + lam*I) W = targets and verify the residual; return (W,
-    the residual norm the check used). A non-finite system, solution or
-    residual raises NumericalError, as does a residual above tolerance."""
+    the residual norm the check used). `gram` is the prototype's p×p Gram
+    HᵀH or, for a per-session split of n < p rows, its n×n kernel HHᵀ. A
+    non-finite system, solution or residual raises NumericalError, as does a
+    residual above tolerance."""
     system = gram + lam * np.eye(gram.shape[0])
     if not (np.isfinite(system).all() and np.isfinite(targets).all()):
         raise NumericalError("ridge system has a non-finite entry")
@@ -316,6 +320,8 @@ class PrototypeLearner(Learner):
         self._cumulative_gram = (np.zeros((self.head_dim, self.head_dim))
                                  if cfg.prototype_stats == "cumulative" else None)
         self._cumulative_sums: dict[int, np.ndarray] = {}
+        # the residual norm of the latest session's ridge solve: of the n×n
+        # kernel system when that session solved in the dual space
         self.last_residual: float = 0.0
 
     def transform(self, features: np.ndarray) -> np.ndarray:
@@ -333,11 +339,19 @@ class PrototypeLearner(Learner):
         t = self.rch.add_session(label_set)
 
         # The ids are unique within a session, so this order depends only
-        # on the set of samples: the statistics are bitwise order-independent.
+        # on the set of samples: the heads are bitwise order-independent.
         keys = list(zip(labels.tolist(), sample_ids))
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        gram, present, class_sums = class_statistics(self.transform(features[order]),
-                                                     labels[order])
+        hidden, labels = self.transform(features[order]), labels[order]
+        lam = self.cfg.ridge_lambda
+        if not cumulative and len(hidden) < self.head_dim:
+            # Fewer rows than features: solve in the n×n kernel space, as
+            # (HᵀH + λI)⁻¹HᵀY = Hᵀ(HHᵀ + λI)⁻¹Y and the class sums are HᵀY.
+            onehot = (labels[:, None] == classes).astype(np.float64)
+            dual, self.last_residual = ridge_solve(hidden @ hidden.T, onehot, lam)
+            self.rch.set_rows(t, (hidden.T @ dual).T)
+            return
+        gram, present, class_sums = class_statistics(hidden, labels)
         sums = dict(zip(present.tolist(), class_sums))
         if cumulative:
             gram = self._cumulative_gram = self._cumulative_gram + gram
@@ -347,7 +361,7 @@ class PrototypeLearner(Learner):
 
         absent = np.zeros(self.head_dim)
         targets = np.stack([sums.get(c, absent) for c in classes], axis=1)
-        solution, self.last_residual = ridge_solve(gram, targets, self.cfg.ridge_lambda)
+        solution, self.last_residual = ridge_solve(gram, targets, lam)
         rows = solution.T
         if cumulative:
             # Session t's rows are still zero, so remap() sums the earlier

@@ -31,7 +31,7 @@ class TrialResult:
         check_int("trial_index", self.trial_index, 1)
         for name in ("correct", "total"):
             counts = check_list(name, getattr(self, name), 1)
-            for i, count in enumerate(counts):
+            for i, count in enumerate(counts, start=1):
                 check_int(f"{name}[{i}]", count, 0)
             object.__setattr__(self, name, counts)
         if len(self.correct) != len(self.total):
@@ -88,7 +88,7 @@ class ExperimentReport:
         object.__setattr__(self, "trials", check_list("trials", self.trials, 1))
         object.__setattr__(self, "mean_per_session",
                            check_list("mean_per_session", self.mean_per_session))
-        for i, value in enumerate(self.mean_per_session):
+        for i, value in enumerate(self.mean_per_session, start=1):
             check_real(f"mean_per_session[{i}]", value)
         for name in ("mean_final", "mean_average", "std_final", "std_average"):
             check_real(name, getattr(self, name))

@@ -761,6 +761,17 @@ class TestCli:
         assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
         assert f"error: {trial}: cannot be read" in capsys.readouterr().err
 
+    def test_a_report_json_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        report = tmp_path / "out" / "report.json"
+        report.unlink()
+        report.mkdir()
+        assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {report}: cannot be read" in err
+        assert "not found" not in err
+
     def test_a_config_that_is_not_utf8_exits_2_naming_the_file_and_line(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_bytes(b'{\n  "protocol": "ilcv",\n  "out": "r\xe9sultats"\n}\n')
@@ -776,7 +787,7 @@ class TestCli:
         assert cli_main(["report", "--in", str(tmp_path / "out")]) == 0
 
     def test_overflowing_feature_exits_2_without_a_report(self, tmp_path, capsys):
-        # 1e200 is finite, but its square overflows the prototype's Gram matrix
+        # 1e200 is finite, but its square overflows the prototype's ridge system
         spec = SynthSpec(session_label_sets=(("a", "b"), ("b", "c")), feature_dim=4,
                          samples_per_class_per_session=8, subjects_per_session=4, seed=2)
         write_stream(generate_stream(spec), tmp_path / "data")
@@ -794,7 +805,7 @@ class TestCli:
 
     @pytest.mark.parametrize("field,value", [
         ("config.k", "3"), ("config.k", 2.9), ("config.k", True),
-        ("mean_final", "0.5"), ("std_average", None), ("mean_per_session[1]", True),
+        ("mean_final", "0.5"), ("std_average", None), ("mean_per_session[2]", True),
         ("config", []), ("config", [["k", 3]]), ("config", "x"),
     ])
     def test_report_rejects_a_wrongly_typed_report_field(self, tmp_path, capsys, field, value):
@@ -804,7 +815,7 @@ class TestCli:
         data = json.loads(report.read_text(encoding="utf-8"))
         if field == "config.k":
             data["config"]["k"] = value
-        elif field == "mean_per_session[1]":
+        elif field == "mean_per_session[2]":  # the second mean: fields count from 1
             data["mean_per_session"][1] = value
         else:
             data[field] = value

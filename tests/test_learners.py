@@ -576,9 +576,12 @@ class TestPrototype:
         assert np.allclose(a.rch.remap(), b.rch.remap(), atol=1e-12)
 
     def test_statistics_exactly_independent_of_sample_order(self):
+        # 20 head features: sessions a and b solve the 20×20 system, c the
+        # 12×12 kernel system
         rng = substream(20, "canonical-order")
         sessions = [columns(rng.normals((30, 5)), [0, 1, 2] * 10, prefix="a"),
-                    columns(rng.normals((30, 5)), [1, 2, 3] * 10, prefix="b")]
+                    columns(rng.normals((30, 5)), [1, 2, 3] * 10, prefix="b"),
+                    columns(rng.normals((12, 5)), [3, 4, 5] * 4, prefix="c")]
         for mode in ("per_session", "cumulative"):
             cfg = LearnerConfig(prototype_stats=mode)
             given = PrototypeLearner(5, cfg, experiment_seed=6)
@@ -592,6 +595,48 @@ class TestPrototype:
                                 tuple(ids[i] for i in order), label_set)
                 assert np.array_equal(given.rch.remap(), shuffled.rch.remap())
                 assert np.array_equal(given.last_residual, shuffled.last_residual)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40),
+           nonlinearity=st.sampled_from(["relu", "identity"]), bias_feature=st.booleans(),
+           lam=st.sampled_from([1e-3, 1.0, 1e3]))
+    def test_heads_equal_the_primal_ridge_solution(self, seed, n, nonlinearity, bias_feature,
+                                                   lam):
+        # 16 or 17 head features, so n falls on both sides of p
+        rng = substream(seed, "primal-dual")
+        labels = [rng.randbelow(3) for _ in range(n)]  # a class may have no rows
+        split = columns(rng.normals((n, 4)), labels)
+        cfg = LearnerConfig(nonlinearity=nonlinearity, bias_feature=bias_feature,
+                            ridge_lambda=lam)
+        learner = PrototypeLearner(4, cfg, experiment_seed=seed)
+        learner.update(*split, {0, 1, 2})
+        hidden = learner.transform(split[0])
+        onehot = (split[1][:, None] == [0, 1, 2]).astype(float)
+        primal, _ = ridge_solve(hidden.T @ hidden, hidden.T @ onehot, lam)
+        heads = learner.rch.rows(1)
+        assert np.linalg.norm(heads - primal.T) <= 1e-9 * np.linalg.norm(primal)
+        for c in set(range(3)) - set(labels):
+            assert not heads[c].any()
+
+    @pytest.mark.parametrize("mode,n,system", [
+        ("per_session", 12, 12), ("per_session", 20, 20), ("per_session", 30, 20),
+        ("cumulative", 12, 20), ("cumulative", 30, 20),
+    ])
+    def test_solves_in_the_smaller_space(self, monkeypatch, mode, n, system):
+        # 20 head features: a per-session split of fewer rows solves the n×n kernel system
+        import cdil.learners
+        shapes = []
+
+        def recording(gram, targets, lam):
+            shapes.append(gram.shape)
+            return ridge_solve(gram, targets, lam)
+
+        monkeypatch.setattr(cdil.learners, "ridge_solve", recording)
+        rng = substream(23, "smaller-space")
+        learner = PrototypeLearner(5, LearnerConfig(prototype_stats=mode), experiment_seed=9)
+        for prefix in ("a", "b"):
+            learner.update(*columns(rng.normals((n, 5)), [0, 1] * (n // 2), prefix), {0, 1})
+        assert shapes == [(system, system)] * 2
 
     def test_huge_lambda_keeps_heads_near_zero(self):
         rng = substream(14, "lambda")

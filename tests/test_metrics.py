@@ -116,7 +116,7 @@ class TestAggregate:
     @pytest.mark.parametrize("change,error", [
         ({"trials": ()}, "trials must be a list of length >= 1"),
         ({"mean_per_session": 0.5}, "mean_per_session must be a list"),
-        ({"mean_per_session": (0.5, "x")}, "mean_per_session[1] must be a finite number"),
+        ({"mean_per_session": (0.5, "x")}, "mean_per_session[2] must be a finite number"),
         ({"mean_final": float("nan")}, "mean_final must be a finite number"),
         ({"std_average": True}, "std_average must be a finite number"),
         ({"config": []}, "config must be a JSON object, got []"),

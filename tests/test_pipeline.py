@@ -1,7 +1,12 @@
 import hashlib
 import logging
 import math
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,3 +395,28 @@ def test_pinned_report_digest(tmp_path, learner, protocol):
     run_experiment(cfg)
     digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
     assert digest == PINNED_REPORT_DIGESTS[(learner, protocol)]
+
+
+def numpy_blas() -> str:
+    """The name of the BLAS numpy was built with, or "" if numpy cannot say."""
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy < 1.26 takes no `mode`
+        return ""
+
+
+@pytest.mark.skipif("openblas" not in numpy_blas().lower()
+                    or platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="needs numpy linked to OpenBLAS on x86-64")
+def test_pinned_report_digests_hold_on_the_prescott_kernel():
+    # OpenBLAS picks its kernels by CPU; the digests must not depend on that
+    # choice. Prescott is the oldest x86-64 kernel, so every such CPU runs it.
+    src = str(Path(cdil.pipeline.__file__).parents[1])
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_pinned_report_digest"],
+        capture_output=True, text=True, env=env)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert f"{len(PINNED_REPORT_DIGESTS)} passed" in done.stdout
