@@ -31,7 +31,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .core import DataLoadError
+from .core import ConfigurationError, DataLoadError
 from .learners import VARIANTS, LearnerConfig
 from .pipeline import ExperimentConfig, build_sequence, partition_sequence, run_experiment
 from .interface import (format_report_table, json_object, known, read_checked, read_json,
@@ -159,9 +159,17 @@ def main(argv: list[str] | None = None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
     try:
+        if args.out == "":
+            raise ConfigurationError("must name a path, got ''", "--out")
         return args.func(args)
     except (ValueError, RuntimeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 2
+    except OSError as exc:  # such as an output path that is a file where a directory goes
+        # a failed rename names its target second
+        path = exc.filename2 if exc.filename2 is not None else exc.filename
+        sys.stderr.write(f"error: {path}: {exc.strerror}\n" if path is not None
+                         else f"error: {exc}\n")
         return 2
 
 

@@ -99,23 +99,12 @@ def check_names(name: str, value, minimum: int = 1) -> tuple[str, ...]:
 
 
 class LabelRegistry:
-    """Class names mapped to contiguous 0-based indices, in first-appearance order."""
+    """Class names mapped to contiguous 0-based indices, in first-appearance
+    order; fixed at construction, where a repeated name keeps its first index."""
 
     def __init__(self, names: Iterable[str] = ()):
-        self._names: list[str] = []
-        self._index: dict[str, int] = {}
-        for name in names:
-            self.register(name)
-
-    def register(self, name: str) -> int:
-        """Return the index for `name`, assigning the next index if new."""
-        existing = self._index.get(name)
-        if existing is not None:
-            return existing
-        index = len(self._names)
-        self._names.append(name)
-        self._index[name] = index
-        return index
+        self.names: tuple[str, ...] = tuple(dict.fromkeys(names))
+        self._index = {name: index for index, name in enumerate(self.names)}
 
     def index_of(self, name: str) -> int:
         try:
@@ -124,16 +113,12 @@ class LabelRegistry:
             raise KeyError(f"unknown class name {name!r}") from None
 
     def name_of(self, index: int) -> str:
-        if not 0 <= index < len(self._names):
-            raise IndexError(f"class index {index} out of range 0..{len(self._names) - 1}")
-        return self._names[index]
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._names)
+        if not 0 <= index < len(self.names):
+            raise IndexError(f"class index {index} out of range 0..{len(self.names) - 1}")
+        return self.names[index]
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self.names)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,10 +14,10 @@ Two variants mirror the benchmark's baselines at linear desk scale:
   with each session's head rows the ridge regression of its classes'
   one-hot targets on the projected training split. The split is taken in
   (label, sample id) order, so the heads are bitwise independent of sample
-  order. The ridge is solved in the smaller space: with at least as many
-  rows as head features (and always in ``cumulative`` mode) from the
-  second-moment and per-class sum statistics, else from the rows' n×n
-  kernel matrix. The projection is drawn once per experiment, shared by its
+  order. One one-hot target matrix Y feeds every solve, made in the smaller
+  space: with at least as many rows as head features (and always in
+  ``cumulative`` mode) the p×p Gram HᵀH against HᵀY, else the n×n kernel
+  HHᵀ against Y. The projection is drawn once per experiment, shared by its
   trials, and never changes, so all adaptation lives in the heads.
 
 The default learning rate is 0.05: the published schedule (batch 16,
@@ -286,14 +286,6 @@ def ridge_solve(gram: np.ndarray, targets: np.ndarray, lam: float):
     return solution, residual
 
 
-def class_statistics(hidden: np.ndarray,
-                     labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(hidden.T @ hidden, classes, sums): sums[i] adds, in row order, the rows
-    labelled classes[i]. The rows of each class must be contiguous."""
-    starts = np.flatnonzero(np.diff(labels, prepend=labels[0] - 1))
-    return hidden.T @ hidden, labels[starts], np.add.reduceat(hidden, starts, axis=0)
-
-
 def draw_projection(feature_dim: int, cfg: LearnerConfig,
                     experiment_seed: int) -> np.ndarray:
     """The prototype learner's frozen random projection, read-only. It depends
@@ -306,7 +298,7 @@ def draw_projection(feature_dim: int, cfg: LearnerConfig,
 
 
 class PrototypeLearner(Learner):
-    """Frozen random features plus per-session class statistics and ridge heads."""
+    """Frozen random features plus closed-form ridge heads on one-hot targets."""
 
     def __init__(self, feature_dim: int, cfg: LearnerConfig,
                  experiment_seed: int = 0, trial_index: int = 1,
@@ -338,29 +330,26 @@ class PrototypeLearner(Learner):
         cumulative = self.cfg.prototype_stats == "cumulative"
         t = self.rch.add_session(label_set)
 
-        # The ids are unique within a session, so this order depends only
-        # on the set of samples: the heads are bitwise order-independent.
+        # Only for order independence: the ids are unique within a session,
+        # so this order, and so every sum below, depends only on the samples.
         keys = list(zip(labels.tolist(), sample_ids))
         order = sorted(range(len(keys)), key=keys.__getitem__)
-        hidden, labels = self.transform(features[order]), labels[order]
+        hidden = self.transform(features[order])
+        onehot = (labels[order][:, None] == classes).astype(np.float64)
         lam = self.cfg.ridge_lambda
         if not cumulative and len(hidden) < self.head_dim:
             # Fewer rows than features: solve in the n×n kernel space, as
-            # (HᵀH + λI)⁻¹HᵀY = Hᵀ(HHᵀ + λI)⁻¹Y and the class sums are HᵀY.
-            onehot = (labels[:, None] == classes).astype(np.float64)
+            # (HᵀH + λI)⁻¹HᵀY = Hᵀ(HHᵀ + λI)⁻¹Y.
             dual, self.last_residual = ridge_solve(hidden @ hidden.T, onehot, lam)
             self.rch.set_rows(t, (hidden.T @ dual).T)
             return
-        gram, present, class_sums = class_statistics(hidden, labels)
-        sums = dict(zip(present.tolist(), class_sums))
+        # column i sums the rows of classes[i]; a class without rows gets zeros
+        gram, targets = hidden.T @ hidden, hidden.T @ onehot
         if cumulative:
             gram = self._cumulative_gram = self._cumulative_gram + gram
-            for c, row in sums.items():
-                self._cumulative_sums[c] = self._cumulative_sums.get(c, 0.0) + row
-            sums = self._cumulative_sums
-
-        absent = np.zeros(self.head_dim)
-        targets = np.stack([sums.get(c, absent) for c in classes], axis=1)
+            for c, column in zip(classes, targets.T):
+                self._cumulative_sums[c] = self._cumulative_sums.get(c, 0.0) + column
+            targets = np.stack([self._cumulative_sums[c] for c in classes], axis=1)
         solution, self.last_residual = ridge_solve(gram, targets, lam)
         rows = solution.T
         if cumulative:

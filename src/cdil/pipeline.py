@@ -54,6 +54,8 @@ class ExperimentConfig:
         check_int("seed", self.seed)
         check_choice("learner", self.learner, VARIANTS)
         check_bool("deterministic", self.deterministic)
+        if self.out == "":  # Path("") would mean the working directory
+            raise ConfigurationError("must name a path, got ''", "out")
         if (self.synth is None) == (self.manifest is None):
             raise ConfigurationError("exactly one of synth spec or manifest path is required")
 

@@ -27,10 +27,10 @@ class TestLabelRegistry:
         assert reg.names == ("b", "a", "c")
         assert [reg.index_of(n) for n in ("b", "a", "c")] == [0, 1, 2]
 
-    def test_reregistering_is_idempotent(self):
-        reg = LabelRegistry(["x", "y"])
-        assert reg.register("x") == 0
+    def test_repeated_name_keeps_its_first_index(self):
+        reg = LabelRegistry(["x", "y", "x"])
         assert reg.names == ("x", "y")
+        assert [reg.index_of(n) for n in ("x", "y")] == [0, 1]
         assert len(reg) == 2
 
     def test_round_trip(self):

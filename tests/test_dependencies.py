@@ -26,6 +26,35 @@ def third_party_imports() -> set[str]:
     return names - set(sys.stdlib_module_names) - {"cdil"}
 
 
+def unused_imports(source: str) -> list[str]:
+    """Names that `source` imports but never reads. A name listed in the
+    module's `__all__` counts as read; `__future__` imports are directives."""
+    tree = ast.parse(source)
+    imported = [alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or (isinstance(node, ast.ImportFrom) and node.module != "__future__")
+                for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return [name for name in imported if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = {source.name: names for source in sorted(PACKAGE.glob("*.py"))
+              if (names := unused_imports(source.read_text(encoding="utf-8")))}
+    assert unused == {}
+
+
+def test_the_unused_import_check_sees_through_all_and_future():
+    source = ("from __future__ import annotations\nimport os, sys as system\n"
+              "from .core import a, b\n__all__ = ['a']\nprint(system.argv)\n")
+    assert unused_imports(source) == ["os", "b"]
+
+
 def test_imports_match_declared_dependencies():
     tomllib = pytest.importorskip("tomllib")
     if not PYPROJECT.is_file():

@@ -803,6 +803,61 @@ class TestCli:
         assert "ridge system has a non-finite entry" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_run_out_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        config = self.run_config(tmp_path, out=str(out))
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert f"error: {out / 'trials'}: " in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == ""
+        assert not list(tmp_path.rglob("report.json"))
+
+    def test_synth_out_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"samples_per_class_per_session": 4}), encoding="utf-8")
+        assert cli_main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        assert f"error: {out}: " in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == ""
+
+    def test_split_out_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys):
+        out = tmp_path / "taken"
+        out.mkdir()
+        config = self.run_config(tmp_path)
+        assert cli_main(["split", "--config", str(config), "--out", str(out)]) == 2
+        assert f"error: {out}: " in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+        assert not list(out.iterdir())
+
+    def test_report_out_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "taken"
+        out.write_text("", encoding="utf-8")
+        assert cli_main(["report", "--in", str(tmp_path / "out"), "--out", str(out)]) == 2
+        assert f"error: {out / 'trials'}: " in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == ""
+
+    @pytest.mark.parametrize("command", ["run", "synth", "split", "report"])
+    def test_an_empty_out_flag_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # Path("") is the working directory, where nothing may be written
+        monkeypatch.chdir(tmp_path)
+        config = self.run_config(tmp_path)
+        source = {"run": ["--config", str(config)], "synth": [],
+                  "split": ["--config", str(config)], "report": ["--in", str(tmp_path)]}
+        assert cli_main([command, *source[command], "--out", ""]) == 2
+        assert "error: --out must name a path, got ''" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
+    def test_an_empty_out_in_the_config_exits_2_naming_the_field(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        config = self.run_config(tmp_path, out="")
+        assert cli_main(["run", "--config", str(config)]) == 2
+        assert f"error: {config}: field 'out': must name a path" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.iterdir()] == ["config.json"]
+
     @pytest.mark.parametrize("field,value", [
         ("config.k", "3"), ("config.k", 2.9), ("config.k", True),
         ("mean_final", "0.5"), ("std_average", None), ("mean_per_session[2]", True),

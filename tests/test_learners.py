@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from cdil.core import ConfigurationError, NumericalError, ProtocolError
 from cdil.learners import (FinetuneLearner, LearnerConfig, PrototypeLearner,
-                           class_statistics, finetune_loss_and_grads, finetune_step,
-                           make_learner, ridge_solve)
+                           finetune_loss_and_grads, finetune_step, make_learner, ridge_solve)
 from cdil.pipeline import ExperimentConfig, partition_sequence, run_experiment
 from cdil.rng import Xoshiro256StarStar, substream
 from cdil.splitters import bind_folds
@@ -512,28 +511,54 @@ class TestRidgeSolve:
             ridge_solve(system["gram"], system["targets"], 1.0)
 
 
-class TestClassStatistics:
-    def test_matches_exactly_rounded_sums_on_wide_dynamic_range(self):
-        # Entries span 1e-8..1e8. The error is taken relative to the sum of
+def record_ridge_systems(monkeypatch) -> list:
+    """The (gram, targets) of every `ridge_solve` call a learner makes from now on."""
+    import cdil.learners
+    systems = []
+
+    def recording(gram, targets, lam):
+        systems.append((gram, targets))
+        return ridge_solve(gram, targets, lam)
+
+    monkeypatch.setattr(cdil.learners, "ridge_solve", recording)
+    return systems
+
+
+class TestRidgeSystem:
+    @pytest.mark.parametrize("mode", ["per_session", "cumulative"])
+    @pytest.mark.parametrize("nonlinearity", ["relu", "identity"])
+    def test_matches_exactly_rounded_sums_on_wide_dynamic_range(self, monkeypatch, mode,
+                                                                nonlinearity):
+        # Row scales span 1e-8..1e8. The error is taken relative to the sum of
         # the terms' magnitudes, which for non-negative (relu) rows is the
-        # plain relative error of each entry.
+        # plain relative error of each entry. 16 head features: the first
+        # session's 120 rows solve the p×p system, and so does the second
+        # cumulative session's 12; class 9 has no rows.
+        systems = record_ridge_systems(monkeypatch)
         rng = substream(22, "dynamic-range")
-        n, m = 120, 6
-        labels = np.repeat([0, 2, 5], [50, 30, 40])
-        scales = 10.0 ** np.array([[rng.randbelow(17) - 8 for _ in range(m)]
-                                   for _ in range(n)])
-        signed = rng.normals((n, m)) * scales
-        for hidden in (np.abs(signed), signed):
-            gram, classes, sums = class_statistics(hidden, labels)
-            assert classes.tolist() == [0, 2, 5]
-            for i in range(m):
-                for j in range(m):
-                    terms = hidden[:, i] * hidden[:, j]
+        learner = PrototypeLearner(4, LearnerConfig(nonlinearity=nonlinearity,
+                                                    prototype_stats=mode), experiment_seed=3)
+        sessions = [("a", [0, 2, 5], [50, 30, 40]), ("b", [2, 7], [7, 5])]
+        hidden, labels = [], []
+        for prefix, classes, counts in sessions[:1 if mode == "per_session" else 2]:
+            n = sum(counts)
+            scales = 10.0 ** np.array([rng.randbelow(17) - 8 for _ in range(n)])
+            split = columns(rng.normals((n, 4)) * scales[:, None],
+                            np.repeat(classes, counts), prefix)
+            learner.update(*split, {*classes, 9})
+            hidden.append(learner.transform(split[0]))
+            labels.append(split[1])
+            H, y = np.vstack(hidden), np.concatenate(labels)
+            gram, targets = systems[-1]
+            assert gram.shape == (16, 16) and targets.shape == (16, len(classes) + 1)
+            for i in range(16):
+                for j in range(16):
+                    terms = H[:, i] * H[:, j]
                     assert abs(gram[i, j] - math.fsum(terms)) <= (
                         1e-13 * math.fsum(np.abs(terms)))
-                for k, c in enumerate(classes):
-                    terms = hidden[labels == c, i]
-                    assert abs(sums[k, i] - math.fsum(terms)) <= (
+                for k, c in enumerate([*classes, 9]):
+                    terms = H[y == c, i]
+                    assert abs(targets[i, k] - math.fsum(terms)) <= (
                         1e-13 * math.fsum(np.abs(terms)))
 
 
@@ -624,19 +649,12 @@ class TestPrototype:
     ])
     def test_solves_in_the_smaller_space(self, monkeypatch, mode, n, system):
         # 20 head features: a per-session split of fewer rows solves the n×n kernel system
-        import cdil.learners
-        shapes = []
-
-        def recording(gram, targets, lam):
-            shapes.append(gram.shape)
-            return ridge_solve(gram, targets, lam)
-
-        monkeypatch.setattr(cdil.learners, "ridge_solve", recording)
+        systems = record_ridge_systems(monkeypatch)
         rng = substream(23, "smaller-space")
         learner = PrototypeLearner(5, LearnerConfig(prototype_stats=mode), experiment_seed=9)
         for prefix in ("a", "b"):
             learner.update(*columns(rng.normals((n, 5)), [0, 1] * (n // 2), prefix), {0, 1})
-        assert shapes == [(system, system)] * 2
+        assert [gram.shape for gram, _ in systems] == [(system, system)] * 2
 
     def test_huge_lambda_keeps_heads_near_zero(self):
         rng = substream(14, "lambda")
@@ -647,12 +665,16 @@ class TestPrototype:
             [i for i in range(20) if i % 2 == c])]).sum(axis=0)) for c in (0, 1))
         assert np.linalg.norm(learner.rch.remap()) <= 1e-6 * norm_c
 
-    def test_zero_training_class_head_stays_at_init(self):
+    @pytest.mark.parametrize("mode", ["per_session", "cumulative"])
+    def test_zero_training_class_head_stays_at_init(self, monkeypatch, mode):
+        systems = record_ridge_systems(monkeypatch)
         rng = substream(15, "zero-class")
         X = rng.normals((10, 4))
-        learner = PrototypeLearner(4, LearnerConfig(), experiment_seed=8)
+        learner = PrototypeLearner(4, LearnerConfig(prototype_stats=mode), experiment_seed=8)
         learner.update(*columns(X, [0] * 10), {0, 1})  # class 1 declared, no samples
-        # block row 1 is class 1's, in sorted class order
+        # column and block row 1 are class 1's, in sorted class order
+        (_, targets), = systems
+        assert targets.shape[1] == 2 and not targets[:, 1].any() and targets[:, 0].any()
         assert np.array_equal(learner.rch.rows(1)[1], np.zeros(learner.head_dim))
 
     def test_deterministic_given_data_and_seeds(self):
