@@ -36,6 +36,7 @@ in different sessions are different people by default.
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import logging
 import os
@@ -387,6 +388,15 @@ def replace_file(path: Path):
 def _write_json(path: Path, record: dict) -> None:
     with replace_file(path) as fh:
         fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
+
+
+def check_report_dir(out_dir: str | Path) -> None:
+    """Raise the NotADirectoryError, naming `out_dir`/trials, that `write_report`
+    would meet making it where a file stands; create nothing."""
+    trials_dir = Path(out_dir) / "trials"
+    existing = next(path for path in (trials_dir, *trials_dir.parents) if path.exists())
+    if not existing.is_dir():
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(trials_dir))
 
 
 def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:

@@ -9,6 +9,9 @@ Two variants mirror the benchmark's baselines at linear desk scale:
   Earlier sessions' head rows are frozen; forgetting enters through the
   shared feature map and through new rows competing in the softmax. The k
   trials of an experiment train stacked, bit for bit as each would alone.
+  A session's shuffles for every trial and epoch come from one draw,
+  bit for bit as per-epoch draws; a trial whose words hold one `randbelow`
+  would reject (about n/2⁶⁴ a word) draws its picks one at a time instead.
 
 * ``prototype`` — a frozen random projection followed by a nonlinearity,
   with each session's head rows the ridge regression of its classes'
@@ -38,7 +41,7 @@ import numpy as np
 from .core import (NumericalError, ProtocolError, check_bool, check_choice, check_int,
                    check_real)
 from .rch import RCHState
-from .rng import derive_seed, substream
+from .rng import derive_seed, permute, shuffle_plans, substream
 
 FINETUNE = "finetune"
 PROTOTYPE = "prototype"
@@ -144,9 +147,9 @@ def finetune_loss_and_grads(
     hidden = features @ feature_map.swapaxes(-1, -2) if feature_map is not None else features
     inputs = _append_bias(hidden) if bias_feature else hidden
     logits = inputs @ remap_matrix.swapaxes(-1, -2)
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    norm = exp.sum(axis=-1, keepdims=True)
+    norm = np.add.reduce(exp, axis=-1, keepdims=True)
     # the mean log-likelihood, summed and divided as np.mean does
     loss = -np.add.reduce(shifted.take(picked) - np.log(norm[..., 0]), axis=-1) / batch
     d_logits = exp / norm  # the softmax of the logits
@@ -165,15 +168,19 @@ def finetune_loss_and_grads(
 def finetune_step(features, labels_pos, frozen, heads, maps, session_pos, lr: float,
                   bias_feature: bool = False):
     """One SGD step of k trials, remapping as `RCHState.remap` does: `heads`
-    (k, n_t, h) added at `session_pos` to the frozen prefixes (k, C, h). Updates
-    `heads` and the feature maps `maps` (k, d, d) or None in place; returns the losses."""
+    (k, n_t, h) added at `session_pos` (positions, or a slice of them) to the
+    frozen prefixes (k, C, h). Updates `heads` and the feature maps `maps`
+    (k, d, d) or None in place; returns the losses."""
     remap = frozen.copy()
     remap[:, session_pos] += heads
     loss, d_remap, d_map = finetune_loss_and_grads(features, labels_pos, remap, maps,
                                                    bias_feature)
-    heads += -lr * d_remap[:, session_pos]
+    step = d_remap[:, session_pos]  # scaled in place: d_remap is not read again
+    step *= -lr
+    heads += step
     if maps is not None:
-        maps -= lr * d_map
+        d_map *= lr
+        maps -= d_map
     return loss
 
 
@@ -201,11 +208,19 @@ class FinetuneLearner(Learner):
         train_finetune([self], [(features, labels, sample_ids)], label_set)
 
 
+def _as_slice(positions: np.ndarray) -> np.ndarray | slice:
+    """Sorted distinct `positions` as a slice when they are contiguous, so that
+    indexing by them gives views rather than copies."""
+    first, last = positions[[0, -1]].tolist()
+    return slice(first, last + 1) if last - first == len(positions) - 1 else positions
+
+
 def train_finetune(learners: Sequence[FinetuneLearner], splits: Sequence[tuple],
                    label_set: AbstractSet[int]) -> None:
     """Train k finetune learners of one config and one session history, each
     on its (features, labels, sample_ids) split of the next session. Shuffles
-    and initial head blocks come from each trial's own substreams. At each
+    and initial head blocks come from each trial's own substreams; the
+    shuffle picks of every trial and epoch are drawn at once. At each
     batch start, the trials whose batches are equally long step in one
     `finetune_step` call, so each learner ends bit for bit as if trained alone."""
     first, cfg = learners[0], learners[0].cfg
@@ -218,7 +233,7 @@ def train_finetune(learners: Sequence[FinetuneLearner], splits: Sequence[tuple],
             rows = rng.normals((len(label_set), learner.rch.feature_dim)) * cfg.head_init_std
         learner.rch.add_session(label_set, rows)
     order = first.rch.class_order
-    session_pos = np.searchsorted(order, sorted(label_set))
+    session_pos = _as_slice(np.searchsorted(order, sorted(label_set)))
     prefix = np.stack([learner.rch.frozen() for learner in learners])
     heads = np.stack([learner.rch.rows(t) for learner in learners])
     maps = np.stack([learner.feature_map for learner in learners]) if cfg.feature_map else None
@@ -234,17 +249,18 @@ def train_finetune(learners: Sequence[FinetuneLearner], splits: Sequence[tuple],
     for start in range(0, longest, size):
         lengths = np.minimum(sizes - start, size)
         for b in sorted(set(lengths[lengths > 0].tolist())):
-            group = np.flatnonzero(lengths == b)
-            steps.append((slice(start, start + b), slice(None) if len(group) == k else group))
+            steps.append((slice(start, start + b), _as_slice(np.flatnonzero(lengths == b))))
     trials = np.array([learner._trial for learner in learners])
-    shufflers = [substream(learner._seed, "finetune", learner._trial, t, "shuffle")
-                 for learner in learners]
+    epochs = cfg.epochs_first if t == 1 else cfg.epochs_later
+    # every epoch's shuffle of every trial, bit for bit as per-epoch `shuffle` calls
+    plans = shuffle_plans([substream(learner._seed, "finetune", learner._trial, t, "shuffle")
+                           for learner in learners], sizes.tolist(), epochs)
     indices = [list(range(n)) for n in sizes.tolist()]
     perm, trial_axis = np.zeros((k, longest), dtype=np.intp), np.arange(k)[:, None]
     lr = cfg.learning_rate
-    for epoch in range(cfg.epochs_first if t == 1 else cfg.epochs_later):
-        for i, (rng, order_i) in enumerate(zip(shufflers, indices)):
-            rng.shuffle(order_i)
+    for epoch in range(epochs):
+        for i, (plan, order_i) in enumerate(zip(plans, indices)):
+            permute(order_i, plan[epoch])
             perm[i, :sizes[i]] = order_i
         # batches are then slices of one gather
         epoch_features, epoch_labels = padded[trial_axis, perm], labels_pos[trial_axis, perm]

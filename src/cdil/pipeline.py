@@ -179,6 +179,8 @@ def run_experiment(cfg: ExperimentConfig,
     Any trial failure aborts the whole experiment: a partial fold average
     would silently bias the reported means.
     """
+    if cfg.out is not None:  # a file in the output path fails before any trial trains
+        interface.check_report_dir(cfg.out)
     seq = build_sequence(cfg)
     assignments = partition_sequence(seq, cfg.k, cfg.seed, cfg.protocol)
     trials = _run_trials(cfg, seq, assignments, range(1, cfg.k + 1), learner_factory)

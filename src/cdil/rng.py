@@ -10,9 +10,12 @@ module and numpy's default streams are never used.
 `normals` draws blocks equal bit for bit to scalar Box-Muller draws made one at
 a time: the state update is GF(2)-linear, so lanes started by jumps are the
 sequential stream laid end to end; numpy does only what IEEE 754 fixes
-exactly, and log, sin and cos stay on `math`. `shuffle` draws its words as one
-block too, and falls back to one `randbelow` at a time if that block holds a
-word `randbelow` would reject.
+exactly, and log, sin and cos stay on `math`. `u64_blocks` draws several
+generators' blocks as the lanes of one array. `shuffle_plans` takes every word
+of E successive Fisher-Yates shuffles by each of several generators from one
+such draw, bit for bit as E per-shuffle draws; a generator whose words hold one
+`randbelow` would reject is restored and makes its picks one `randbelow` at a
+time. `shuffle` is its one-generator, one-shuffle case.
 
 Substreams are derived by hashing an ordered tuple of purpose tags
 (experiment seed, session index, protocol name, ...) with SHA-256 and
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import MutableSequence
+from typing import MutableSequence, Sequence
 
 import numpy as np
 
@@ -56,7 +59,8 @@ def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
-# below _MIN_BLOCK words the scalar loop is faster than jumping the lanes (timeit, 2-CPU x86)
+# below _MIN_BLOCK words in all, for 1 to 10 generators, the scalar loop is faster than
+# jumping the lanes (timeit, 2-CPU x86)
 _LANE_STEPS, _MIN_BLOCK, _CHUNK = 64, 1600, 4096  # lane length, least block, normals per block
 _JUMPS: list[np.ndarray] = []  # [k]: (64, 16, 4) table of _LANE_STEPS * 2**k steps, built on use
 
@@ -143,50 +147,27 @@ class Xoshiro256StarStar:
                 return value % n
 
     def shuffle(self, items: MutableSequence) -> None:
-        """In-place Fisher-Yates shuffle, j = randbelow(i + 1) for i = n-1..1.
-
-        All n-1 words are drawn as one block; if `randbelow` would reject any
-        of them, the state is restored and the draws are made one at a time."""
-        n = len(items)
-        saved = self._s0, self._s1, self._s2, self._s3
-        bounds = np.arange(n, 1, -1, dtype=np.uint64)
-        values = self._u64s(len(bounds))
-        mask = np.uint64(_MASK64)
-        if (values <= mask - mask % bounds).all():
-            picks = (values % bounds).tolist()
-        else:
-            self._s0, self._s1, self._s2, self._s3 = saved
-            picks = [self.randbelow(i + 1) for i in range(n - 1, 0, -1)]
-        for i, j in zip(range(n - 1, 0, -1), picks):
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates shuffle, j = randbelow(i + 1) for i = n-1..1:
+        the one-shuffle case of `shuffle_plans`."""
+        permute(items, shuffle_plans([self], [len(items)], 1)[0][0])
 
     def _u64s(self, n: int) -> np.ndarray:
         """The next n outputs, leaving the state where n `next_u64` calls would."""
-        if n < _MIN_BLOCK:  # the `next_u64` step inlined over local ints
-            s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-            s1s = []
-            for _ in range(n):
-                s1s.append(s1)
-                t = (s1 << 17) & _MASK64
-                s2 ^= s0
-                s3 ^= s1
-                s1 ^= s2
-                s0 ^= s3
-                s2 ^= t
-                s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-            self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-            return _scrambled(np.array(s1s, dtype=np.uint64))
-        lanes = -(-n // _LANE_STEPS)  # lane j starts j * _LANE_STEPS steps on
-        s = np.array([[self._s0], [self._s1], [self._s2], [self._s3]], dtype=np.uint64)
-        for k in range((lanes - 1).bit_length()):
-            s = np.concatenate([s, _jump(s[:, :lanes - s.shape[1]], k)], axis=1)
-        s1s = np.empty((_LANE_STEPS, lanes), dtype=np.uint64)
-        for i in range(1, _LANE_STEPS + 1):
-            s1s[i - 1] = s[1]
-            _step(s)
-            if i == n - (lanes - 1) * _LANE_STEPS:  # the last lane is where the draw ends
-                self._s0, self._s1, self._s2, self._s3 = s[:, -1].tolist()
-        return _scrambled(s1s.T.reshape(-1)[:n])
+        if n >= _MIN_BLOCK:
+            return u64_blocks([self], [n])[0]
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        s1s = []
+        for _ in range(n):  # the `next_u64` step inlined over local ints
+            s1s.append(s1)
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
+        return _scrambled(np.array(s1s, dtype=np.uint64))
 
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of standard normal draws in row-major fill order, bit for bit
@@ -213,3 +194,61 @@ class Xoshiro256StarStar:
 def substream(*parts: SeedPart) -> Xoshiro256StarStar:
     """Generator for the substream identified by the given tag tuple."""
     return Xoshiro256StarStar(derive_seed(*parts))
+
+
+def u64_blocks(gens: Sequence[Xoshiro256StarStar], counts: Sequence[int]) -> list[np.ndarray]:
+    """The next counts[i] outputs of each of the distinct generators gens[i],
+    leaving each where counts[i] `next_u64` calls would. Below _MIN_BLOCK
+    words in all, each generator steps alone. Otherwise lane j of generator i,
+    column j * len(gens) + i of one (4, columns) array, starts j * _LANE_STEPS
+    steps on; every generator gets the lanes of the longest draw, all are
+    jumped and stepped together, and each draw ends in its own last lane."""
+    if sum(counts) < _MIN_BLOCK:
+        return [gen._u64s(n) for gen, n in zip(gens, counts)]
+    g, lanes = len(gens), -(-max(counts) // _LANE_STEPS)
+    s = np.array([[gen._s0, gen._s1, gen._s2, gen._s3] for gen in gens], dtype=np.uint64).T.copy()
+    for k in range((lanes - 1).bit_length()):  # lanes [2**k, 2**(k+1)) from [0, 2**k)
+        s = np.concatenate([s, _jump(s[:, :(lanes - s.shape[1] // g) * g], k)], axis=1)
+    ends: dict[int, list[int]] = {}  # step in the last lane -> the draws that end there
+    for i, n in enumerate(counts):
+        if n:
+            ends.setdefault((n - 1) % _LANE_STEPS + 1, []).append(i)
+    s1s = np.empty((_LANE_STEPS, lanes * g), dtype=np.uint64)
+    for step in range(1, _LANE_STEPS + 1):
+        s1s[step - 1] = s[1]
+        _step(s)
+        for i in ends.get(step, ()):
+            last = s[:, (counts[i] - 1) // _LANE_STEPS * g + i].tolist()
+            gens[i]._s0, gens[i]._s1, gens[i]._s2, gens[i]._s3 = last
+    # row i holds generator i's lanes laid end to end
+    words = _scrambled(s1s.reshape(_LANE_STEPS, lanes, g).transpose(2, 1, 0).reshape(g, -1))
+    return [row[:n] for row, n in zip(words, counts)]
+
+
+def shuffle_plans(gens: Sequence[Xoshiro256StarStar], sizes: Sequence[int],
+                  epochs: int) -> list[np.ndarray]:
+    """The Fisher-Yates picks of `epochs` successive shuffles of sizes[i] items
+    by each of the distinct generators gens[i]: row e of plan i holds shuffle
+    e's j = randbelow(m + 1) for m = n-1..1, bit for bit. Every word comes from
+    one `u64_blocks` draw. A generator one of whose words `randbelow` would
+    reject is restored and makes its picks one `randbelow` at a time."""
+    saved = [(gen._s0, gen._s1, gen._s2, gen._s3) for gen in gens]
+    widths = [max(n - 1, 0) for n in sizes]
+    blocks = u64_blocks(gens, [epochs * width for width in widths])
+    mask, plans = np.uint64(_MASK64), []
+    for gen, state, width, words in zip(gens, saved, widths, blocks):
+        bounds = np.arange(width + 1, 1, -1, dtype=np.uint64)
+        words = words.reshape(epochs, width)
+        if (words <= mask - mask % bounds).all():
+            plans.append(words % bounds)
+        else:
+            gen._s0, gen._s1, gen._s2, gen._s3 = state
+            picks = [gen.randbelow(m + 1) for _ in range(epochs) for m in range(width, 0, -1)]
+            plans.append(np.array(picks, dtype=np.uint64).reshape(epochs, width))
+    return plans
+
+
+def permute(items: MutableSequence, picks: np.ndarray) -> None:
+    """Swap items[i] and items[picks[n-1-i]] for i = n-1..1, in place."""
+    for i, j in zip(range(len(items) - 1, 0, -1), picks.tolist()):
+        items[i], items[j] = items[j], items[i]

@@ -812,6 +812,24 @@ class TestCli:
         assert out.read_text(encoding="utf-8") == ""
         assert not list(tmp_path.rglob("report.json"))
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_run_out_that_is_a_file_is_refused_before_any_trial_trains(
+            self, tmp_path, capsys, monkeypatch, source):
+        import cdil.pipeline
+        calls = []
+        monkeypatch.setattr(cdil.pipeline, "_run_trials", lambda *args: calls.append(args))
+        out = tmp_path / "nested" / "taken"
+        out.parent.mkdir()
+        out.write_text("", encoding="utf-8")
+        if source == "flag":
+            argv = ["--config", str(self.run_config(tmp_path)), "--out", str(out)]
+        else:
+            argv = ["--config", str(self.run_config(tmp_path, out=str(out)))]
+        assert cli_main(["run", *argv]) == 2
+        assert f"error: {out / 'trials'}: " in capsys.readouterr().err
+        assert calls == []
+        assert out.read_text(encoding="utf-8") == ""
+
     def test_synth_out_that_is_a_file_exits_2_naming_it(self, tmp_path, capsys):
         out = tmp_path / "taken"
         out.write_text("", encoding="utf-8")

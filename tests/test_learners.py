@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from cdil.core import ConfigurationError, NumericalError, ProtocolError
 from cdil.learners import (FinetuneLearner, LearnerConfig, PrototypeLearner,
-                           finetune_loss_and_grads, finetune_step, make_learner, ridge_solve)
+                           finetune_loss_and_grads, finetune_step, make_learner, ridge_solve,
+                           train_finetune)
 from cdil.pipeline import ExperimentConfig, partition_sequence, run_experiment
 from cdil.rng import Xoshiro256StarStar, substream
 from cdil.splitters import bind_folds
@@ -382,7 +383,8 @@ class TestFinetuneBitExact:
 @st.composite
 def stacked_steps(draw):
     """k trials' step inputs as the trainer hands them over: features maybe a
-    slice of a longer padded epoch, and a session block at sorted positions."""
+    slice of a longer padded epoch, and a session block at sorted positions,
+    maybe given as a slice."""
     k, batch, classes, d = (draw(st.integers(2, 5)), draw(st.integers(1, 16)),
                             draw(st.integers(2, 17)), draw(st.integers(1, 80)))
     bias, with_map = draw(st.booleans()), draw(st.booleans())
@@ -396,6 +398,8 @@ def stacked_steps(draw):
     session_pos = np.array(sorted(draw(st.sets(st.integers(0, classes - 1), min_size=1))))
     frozen = rng.normals((k, classes, d + bias)) * scale
     heads = rng.normals((k, len(session_pos), d + bias)) * scale
+    if session_pos[-1] - session_pos[0] == len(session_pos) - 1 and draw(st.booleans()):
+        session_pos = slice(session_pos[0], session_pos[-1] + 1)  # as the trainer passes it
     maps = np.eye(d) + rng.normals((k, d, d)) * 0.3 if with_map else None
     return features, labels_pos, frozen, heads, maps, session_pos, bias
 
@@ -476,6 +480,88 @@ class TestStackedTraining:
             assert len(sizes) > 2  # ragged: trials step apart at the end of an epoch
         if cfg.learner_config.batch_size == 8:
             assert all(n % 8 for n in sizes)  # every split ends in a short batch
+
+
+class TestShufflePlans:
+    """Stacked trials draw each session's shuffle words for every trial and
+    epoch in one `u64_blocks` call; a trial with a rejected word falls back to
+    one `randbelow` at a time, alone."""
+
+    TRIALS, SEED = (1, 2, 3), 17
+    CFG = LearnerConfig(batch_size=8, epochs_first=3, epochs_later=2)
+
+    @staticmethod
+    def sessions():
+        # session 1 draws 3 * 3 * ~197 words (lanes), the others fewer than _MIN_BLOCK
+        rng = substream(17, "plan-stream")
+        means = rng.normals((5, 4)) * 2
+        out = []
+        for label_set, n in (({0, 1, 2}, 200), ({1, 3}, 30), ({0, 3, 4}, 60)):
+            classes = sorted(label_set)
+            labels = np.array([classes[rng.randbelow(len(classes))] for _ in range(n)])
+            out.append((rng.normals((n, 4)) + means[labels], labels, label_set))
+        return out
+
+    @staticmethod
+    def of_trial(sessions, tau):
+        """Trial tau trains on all but the first tau rows of each session."""
+        return [(features[tau:], labels[tau:], label_set)
+                for features, labels, label_set in sessions]
+
+    def train_stacked(self, sessions):
+        learners = [FinetuneLearner(4, self.CFG, experiment_seed=self.SEED, trial_index=tau)
+                    for tau in self.TRIALS]
+        for t, (_, _, label_set) in enumerate(sessions):
+            train_finetune(learners, [columns(*self.of_trial(sessions, tau)[t][:2])
+                                      for tau in self.TRIALS], label_set)
+        return learners
+
+    def test_one_draw_per_session_for_every_trial(self, monkeypatch):
+        import cdil.rng
+        u64_blocks, calls = cdil.rng.u64_blocks, []
+
+        def counted(gens, counts):
+            calls.append(list(counts))
+            return u64_blocks(gens, counts)
+
+        monkeypatch.setattr(cdil.rng, "u64_blocks", counted)
+        sessions = self.sessions()
+        self.train_stacked(sessions)
+        epochs = [self.CFG.epochs_first] + [self.CFG.epochs_later] * (len(sessions) - 1)
+        assert calls == [[e * (len(features) - tau - 1) for tau in self.TRIALS]
+                         for e, (features, _, _) in zip(epochs, sessions)]
+
+    def test_a_rejected_word_falls_back_for_its_trial_alone(self, monkeypatch):
+        import cdil.rng
+        u64_blocks, randbelow = cdil.rng.u64_blocks, Xoshiro256StarStar.randbelow
+        drawn, fallback = [], []
+
+        def poisoned(gens, counts):
+            blocks = [block.copy() for block in u64_blocks(gens, counts)]
+            drawn.append(gens)
+            if len(drawn) == 2:
+                # session 2, trial 2: the first word's bound is the split size, 28,
+                # and 2**64 - 1 is past randbelow(28)'s acceptance bound
+                blocks[1][0] = np.uint64(2**64 - 1)
+            return blocks
+
+        def counted(self, n):
+            fallback.append(self)
+            return randbelow(self, n)
+
+        sessions = self.sessions()
+        monkeypatch.setattr(cdil.rng, "u64_blocks", poisoned)
+        monkeypatch.setattr(Xoshiro256StarStar, "randbelow", counted)
+        learners = self.train_stacked(sessions)
+        monkeypatch.undo()
+        assert len(fallback) == self.CFG.epochs_later * (len(sessions[1][0]) - 2 - 1)
+        assert all(gen is drawn[1][1] for gen in fallback)
+        for tau, learner in zip(self.TRIALS, learners):
+            blocks, expected_map = reference_finetune(self.of_trial(sessions, tau), 4,
+                                                      self.CFG, self.SEED, tau)
+            for t, block in enumerate(blocks, start=1):
+                assert learner.rch.rows(t).tobytes() == block.tobytes()
+            assert learner.feature_map.tobytes() == expected_map.tobytes()
 
 
 class TestRidgeSolve:

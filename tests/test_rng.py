@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdil import rng as rng_module
-from cdil.rng import Xoshiro256StarStar, derive_seed, substream
+from cdil.rng import (Xoshiro256StarStar, derive_seed, permute, shuffle_plans, substream,
+                      u64_blocks)
 
 
 def scalar_normal(rng):
@@ -213,3 +214,37 @@ def test_block_shuffle_falls_back_to_randbelow_on_a_rejected_word(monkeypatch):
     reference_shuffle(scalar, expected)
     assert shuffled == expected
     assert _state(block) == _state(scalar)
+
+
+# per-generator counts around the lane length and the scalar/lane threshold
+LANE_COUNTS = st.one_of(st.sampled_from([0, 1, 63, 64, 65, 1599, 1600]), st.integers(0, 3000))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), counts=st.lists(LANE_COUNTS, min_size=1, max_size=6))
+def test_lane_draw_equals_each_generators_next_u64(seed, counts):
+    # totals below _MIN_BLOCK step each generator alone, the rest as lanes of one array
+    gens = [Xoshiro256StarStar(derive_seed(seed, i)) for i in range(len(counts))]
+    scalars = [Xoshiro256StarStar(derive_seed(seed, i)) for i in range(len(counts))]
+    blocks = u64_blocks(gens, counts)
+    for gen, scalar, n, block in zip(gens, scalars, counts, blocks):
+        assert block.tolist() == [scalar.next_u64() for _ in range(n)]
+        assert _state(gen) == _state(scalar)
+        assert gen.next_u64() == scalar.next_u64()
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), epochs=st.integers(0, 25),
+       sizes=st.lists(st.integers(0, 120), min_size=1, max_size=6))
+def test_shuffle_plans_equal_successive_randbelow_shuffles(seed, epochs, sizes):
+    gens = [Xoshiro256StarStar(derive_seed(seed, i)) for i in range(len(sizes))]
+    scalars = [Xoshiro256StarStar(derive_seed(seed, i)) for i in range(len(sizes))]
+    plans = shuffle_plans(gens, sizes, epochs)
+    for gen, scalar, n, plan in zip(gens, scalars, sizes, plans):
+        assert plan.shape == (epochs, max(n - 1, 0))
+        shuffled, expected = list(range(n)), list(range(n))
+        for picks in plan:
+            permute(shuffled, picks)
+            reference_shuffle(scalar, expected)
+            assert shuffled == expected
+        assert _state(gen) == _state(scalar)
