@@ -18,8 +18,8 @@ Interchange formats, chosen to be bit-exactly documentable:
   reproduces values exactly. The records are checked in file order and the
   first fault is worded, naming the file, line and field. A line with no
   `"`, NUL or bare CR, as `write_stream` writes every line, is split at its
-  commas, and `csv.reader` reads the rest from any other line on. One
-  `np.loadtxt` call parses the values of a file read by splitting alone.
+  commas, and `csv.reader` reads the rest from any other line on. Each file
+  is read once; one `np.loadtxt` call parses the value texts of its rows.
 
 * Report — `report.json` (full-precision machine output plus the config
   echo), `report.txt` (a one-row human table: per-session means, average
@@ -43,7 +43,7 @@ import os
 from collections import Counter
 from contextlib import contextmanager, suppress
 from dataclasses import MISSING, dataclass, fields, replace
-from itertools import chain, compress, islice
+from itertools import chain, compress
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -200,46 +200,48 @@ def load_session_features(entry: SessionEntry, registry: LabelRegistry,
 
 
 def _records(fh, path: Path):
-    """(first line, fields, field count, plain) of each CSV record in the open
-    feature file `fh`. A plain line, with no `"`, NUL or bare CR, is split at
-    its first three commas; `csv.reader` reads the rest from any other line on."""
+    """(first line, fields, field count) of each CSV record in the open feature
+    file `fh`. A line with no `"`, NUL or bare CR is split at its first three
+    commas, leaving its values one text; `csv.reader` reads from any other line on."""
     for line_no, line in enumerate(fh, start=1):  # a bare CR ends a line too
         if '"' in line or "\0" in line or line.endswith("\r"):
             reader = csv.reader(chain([line], fh))
             at = line_no  # the first line of the record read next
             try:
                 for fields in reader:
-                    yield at, fields, len(fields), False
+                    yield at, fields, len(fields)
                     at = line_no + reader.line_num
             except csv.Error as exc:
                 raise DataLoadError(f"malformed CSV record: {exc}", path=path, line=at) from None
             return
         line = line.rstrip("\r\n")
-        yield line_no, line.split(",", 3), line.count(",") + 1 if line else 0, True
+        yield line_no, line.split(",", 3), line.count(",") + 1 if line else 0
 
 
 def _read_features(path: Path, entry: SessionEntry, feature_dim: int):
-    """The (ids, features) of a feature file. The records are checked in file order
-    up to the first fault; a DataLoadError names the file, line and field of a value
-    `float` refuses before it, else of the fault, else of the first non-finite row."""
+    """The (ids, features) of a feature file, read once: only a UTF-8 fault rereads
+    the bytes, to count lines. The records are checked in file order up to the first
+    fault; a DataLoadError names the file, line and field of a value `float` refuses
+    before it, else of the fault, else of the first non-finite row."""
     columns = feature_dim + 3
-    header_text = ",".join([*FEATURE_HEADER_FIXED, *(f"f{i}" for i in range(feature_dim))])
     ids: list[tuple[str, str, str]] = []  # (sample id, subject id, label name) per row
+    texts: list[str] = []  # the comma-separated values of each row
     lines: list[int] = []  # the first line of each row
     fault = None
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             records = _records(fh, path)
-            _, header, count, plain = next(records, (1, None, 0, True))
+            _, header, count = next(records, (1, None, 0))
             if header is None:
                 raise DataLoadError("empty feature file", path=path, line=1)
-            if count != columns or ",".join(header) != header_text:
+            if count != columns or ",".join(header) != ",".join(
+                    [*FEATURE_HEADER_FIXED, *(f"f{i}" for i in range(feature_dim))]):
                 raise DataLoadError(
                     "header does not match the documented format" if count == columns else
                     f"header has {count} columns, expected {columns} for feature_dim "
                     f"{feature_dim}", path=path, line=1, field="header")
             seen_ids: set[str] = set()
-            for line_no, fields, count, plain in records:
+            for line_no, fields, count in records:
                 if count != columns:
                     raise DataLoadError(f"expected {columns} columns, got {count}",
                                         path=path, line=line_no)
@@ -252,12 +254,15 @@ def _read_features(path: Path, entry: SessionEntry, feature_dim: int):
                     raise DataLoadError(
                         f"label {label_name!r} is not declared for session {entry.name!r}",
                         path=path, line=line_no, field="label")
-                # `float` reads 1_0 and ١, `np.loadtxt` reads 0x1c-0x1f as spaces
+                # `float` reads 1_0 and ١; `np.loadtxt` reads 0x1c-0x1f as spaces,
+                # skips a blank text and splits a quoted `,`, which `float` refuses
                 values = ",".join(fields[3:])
-                if not values.isascii() or any(char in values for char in "_\x1c\x1d\x1e\x1f"):
+                if (not values.isascii() or not values.strip() or values.count(",") != columns - 4
+                        or any(char in values for char in "_\x1c\x1d\x1e\x1f")):
                     raise DataLoadError("non-numeric feature value",
                                         path=path, line=line_no, field="features")
                 ids.append((sample_id, subject_id, label_name))
+                texts.append(values)
                 lines.append(line_no)
     except DataLoadError as exc:
         fault = exc
@@ -269,7 +274,7 @@ def _read_features(path: Path, entry: SessionEntry, feature_dim: int):
             exc = whole
         fault = DataLoadError(f"not valid UTF-8: {exc.reason}", path=path,
                               line=raw.count(b"\n", 0, exc.start) + 1)
-    features = _values(path, len(ids), feature_dim, plain) if ids else None
+    features = _values(texts, lines, feature_dim, path) if texts else None
     if fault is not None:
         raise fault
     if not ids:
@@ -281,23 +286,18 @@ def _read_features(path: Path, entry: SessionEntry, feature_dim: int):
     return ids, features
 
 
-def _values(path: Path, n: int, dim: int, plain: bool) -> np.ndarray:
-    """The values of a checked feature file's first n records: one `np.loadtxt`
-    call if all are plain lines, else, or where it refuses a value, `float` one
-    record at a time, so that a value it refuses names its line."""
-    if plain:
-        with suppress(ValueError):  # UnicodeDecodeError past the checked records included
-            return np.loadtxt(path, delimiter=",", skiprows=1, max_rows=n,
-                              usecols=range(3, 3 + dim), comments=None, quotechar=None,
-                              ndmin=2, encoding="utf-8")
-    values = np.full((n, dim), np.nan)  # rows a file cut short since the check lost stay NaN
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row, (line_no, fields, _, plain) in zip(values, islice(_records(fh, path), 1, None)):
-            try:
-                row[:] = list(map(float, fields[3].split(",") if plain else fields[3:]))
-            except ValueError:
-                raise DataLoadError("non-numeric feature value",
-                                    path=path, line=line_no, field="features") from None
+def _values(texts: list[str], lines: list[int], dim: int, path: Path) -> np.ndarray:
+    """The checked rows' values, parsed from their texts by one `np.loadtxt` call or,
+    where it refuses one, by `float` row by row, so that a refused value names its line."""
+    with suppress(ValueError):
+        return np.loadtxt(texts, delimiter=",", comments=None, quotechar=None, ndmin=2)
+    values = np.empty((len(texts), dim))
+    for row, text, line_no in zip(values, texts, lines):
+        try:
+            row[:] = list(map(float, text.split(",")))
+        except ValueError:
+            raise DataLoadError("non-numeric feature value",
+                                path=path, line=line_no, field="features") from None
     return values
 
 
@@ -452,6 +452,6 @@ def reaggregate_trials(run_dir: str | Path) -> ExperimentReport:
     trials = [_read_record(TrialResult, read_json(p), p)
               for p in sorted(trials_dir.glob("trial_*.json"))]
     indices = sorted(t.trial_index for t in trials)
-    if indices != list(range(1, k + 1)):
+    if len(indices) != k or indices != list(range(1, k + 1)):
         raise ProtocolError(f"{trials_dir}: expected trial files 1..{k}, found {indices}")
     return aggregate(trials, config=recorded.config, expect_k=k)

@@ -7,6 +7,8 @@ import csv
 import io
 import json
 import logging
+import os
+import tracemalloc
 from array import array
 from collections import Counter
 from itertools import chain, compress
@@ -401,3 +403,74 @@ def test_the_csv_reader_starts_at_the_first_line_that_is_not_plain(tmp_path, mon
     assert first_lines
     assert {line[:3] for line in first_lines} == {raw.split(b"\n")[2][:3].decode("utf-8")}
     assert_loads_as_the_reference(path, raw, 2)
+
+
+ROWS_1 = [row[:4] for row in ROWS]  # one feature column
+
+
+def with_values(rows, values):
+    return [rows[0]] + [row[:3] + list(value) for row, value in zip(rows[1:], values)]
+
+
+# value texts where `np.loadtxt` and `float` may disagree: an empty text, which
+# `np.loadtxt` skips, a quoted `,`, at which it splits, and a quoted line end or NUL
+ONE_PASS = {
+    "one empty value": (csv_bytes(with_values(ROWS_1, [["0.5"], [""], ["3.0"]])), 1),
+    "every value empty": (csv_bytes(with_values(ROWS_1, [[""]] * 3)), 1),
+    "a quoted comma on every row": (csv_bytes(with_values(ROWS_1, [["1,5"]] * 3)), 1),
+    "a quoted comma on every row, two columns":
+        (csv_bytes(with_values(ROWS, [["1,5", "2"]] * 3)), 2),
+    "every value ending in lf": (csv_bytes(with_values(ROWS_1, [["1\n"], ["2\n"], ["3\n"]])), 1),
+    "every value ending in cr": (csv_bytes(with_values(ROWS_1, [["1\r"], ["2\r"], ["3\r"]])), 1),
+    "every value a line end": (csv_bytes(with_values(ROWS_1, [["\n"], ["\r"], ["\r\n"]])), 1),
+    "a quoted value holding nul":
+        (csv_bytes(with_row(2, ["x1", "q", "b", "1\x005", "2.0"]), quoting=csv.QUOTE_ALL), 2),
+    "every field quoted, one column": (csv_bytes(ROWS_1, quoting=csv.QUOTE_ALL), 1),
+}
+
+
+@pytest.mark.parametrize("raw, dim", ONE_PASS.values(), ids=ONE_PASS.keys())
+def test_value_texts_load_as_the_reference(tmp_path, raw, dim):
+    assert_loads_as_the_reference(tmp_path / "s.csv", raw, dim)
+
+
+def test_a_file_replaced_after_it_is_opened_loads_as_opened(tmp_path, monkeypatch):
+    """The ids, labels and values of a load come from the one file opened, as
+    `write_stream` may `os.replace` the path while a load is reading it."""
+    path, replacement = tmp_path / "s.csv", tmp_path / "replacement.csv"
+    path.write_bytes(CLEAN)
+    replacement.write_bytes(csv_bytes(with_values(ROWS, [["9.0", "9.0"]] * 3)))
+    entry = SessionEntry(name="s", label_names=LABELS, features_path=str(path))
+    load_args = (entry, LabelRegistry(("c",) + LABELS), 2, 1, False)
+    expected = outcome(load_session_features, *load_args)
+    opened = []
+
+    def open_then_replace(file, *args, **kwargs):
+        fh = open(file, *args, **kwargs)
+        opened.append(file)
+        if replacement.exists():
+            os.replace(replacement, file)
+        return fh
+
+    monkeypatch.setattr(cdil.interface, "open", open_then_replace, raising=False)
+    assert outcome(load_session_features, *load_args) == expected
+    assert opened == [path]
+    assert b"9.0" in path.read_bytes()
+
+
+def test_a_short_header_fails_before_the_expected_header_is_built(tmp_path):
+    """A `feature_dim` far above the header's column count fails in memory that
+    does not grow with it."""
+    path = tmp_path / "s.csv"
+    path.write_bytes(csv_bytes(ROWS_1))
+    entry = SessionEntry(name="s", label_names=LABELS, features_path=str(path))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataLoadError) as caught:
+            load_session_features(entry, LabelRegistry(LABELS), 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == (f"{path}: line 1: field 'header': header has 4 columns, "
+                                 "expected 1000003 for feature_dim 1000000")
+    assert peak < 2**22

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shutil
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 from types import SimpleNamespace
@@ -544,6 +545,24 @@ class TestReports:
         assert again.mean_per_session == report.mean_per_session
         assert again.mean_final == report.mean_final
         assert again.trials == report.trials
+
+    def test_a_large_recorded_k_fails_without_listing_its_indices(self, tmp_path):
+        """A hand-edited `config.k` far above the trial files fails in memory that
+        does not grow with it."""
+        report_path = write_report(self.make_report(), tmp_path / "run")
+        record = json.loads(report_path.read_text(encoding="utf-8"))
+        record["config"]["k"] = 10**6
+        report_path.write_text(json.dumps(record), encoding="utf-8")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ProtocolError) as caught:
+                reaggregate_trials(tmp_path / "run")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(caught.value) == (f"{tmp_path / 'run' / 'trials'}: expected trial files "
+                                     "1..1000000, found [1, 2, 3]")
+        assert peak < 2**22
 
     def test_failed_write_leaves_no_report_json(self, tmp_path, monkeypatch):
         # the third rename (after trials 1 and 2) fails, as if the run were cut
