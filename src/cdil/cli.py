@@ -20,6 +20,10 @@ and key; a wrongly typed value, a non-boolean `deterministic` included, exits 2
 naming the file and the field. The file must be valid before flags override it.
 Every run is sequential and bit-reproducible; `--deterministic` only sets the
 echoed flag.
+
+`split` deals folds from the sample ids, subject ids and labels alone: it checks
+every record of a manifest's feature files but parses no feature value, so a
+value that is not finite or not a float stops `run` and not `split`.
 """
 
 from __future__ import annotations
@@ -93,7 +97,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_split(args: argparse.Namespace) -> int:
     cfg = config_from_file(args.config, protocol=args.protocol, k=args.k, seed=args.seed)
-    seq = build_sequence(cfg)
+    seq = build_sequence(cfg, values=False)  # folds depend on ids and labels alone
     assignments = partition_sequence(seq, cfg.k, cfg.seed, cfg.protocol)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)

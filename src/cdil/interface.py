@@ -19,7 +19,10 @@ Interchange formats, chosen to be bit-exactly documentable:
   first fault is worded, naming the file, line and field. A line with no
   `"`, NUL or bare CR, as `write_stream` writes every line, is split at its
   commas, and `csv.reader` reads the rest from any other line on. Each file
-  is read once; one `np.loadtxt` call parses the value texts of its rows.
+  is read once; one `np.loadtxt` call parses the value texts of its rows. A
+  load with `values=False` (`cdil split`) checks every record and the syntax
+  of its value text but parses no value, so it refuses no non-finite value
+  and no value that only `float` refuses.
 
 * Report — `report.json` (full-precision machine output plus the config
   echo), `report.txt` (a one-row human table: per-session means, average
@@ -168,14 +171,16 @@ def load_manifest(path: str | Path) -> Manifest:
 
 def load_session_features(entry: SessionEntry, registry: LabelRegistry,
                           feature_dim: int, session_index: int,
-                          shared_subjects: bool = False) -> SessionDataset:
+                          shared_subjects: bool = False, values: bool = True) -> SessionDataset:
     """Parse one session's feature CSV into a SessionDataset.
 
     Classes with fewer than `entry.min_samples_per_class` samples are dropped
     from both the samples and the session's label set, with a logged notice.
+    With `values` false, every record is checked as ever but no value is parsed,
+    and the dataset's features are an (n, 0) matrix.
     """
     path = Path(entry.features_path)
-    ids, features = _read_features(path, entry, feature_dim)
+    ids, features = _read_features(path, entry, feature_dim, values)
     if not shared_subjects:
         ids = [(sample_id, f"s{session_index}:{subject_id}", name)
                for sample_id, subject_id, name in ids]
@@ -218,11 +223,12 @@ def _records(fh, path: Path):
         yield line_no, line.split(",", 3), line.count(",") + 1 if line else 0
 
 
-def _read_features(path: Path, entry: SessionEntry, feature_dim: int):
+def _read_features(path: Path, entry: SessionEntry, feature_dim: int, values: bool):
     """The (ids, features) of a feature file, read once: only a UTF-8 fault rereads
     the bytes, to count lines. The records are checked in file order up to the first
     fault; a DataLoadError names the file, line and field of a value `float` refuses
-    before it, else of the fault, else of the first non-finite row."""
+    before it, else of the fault, else of the first non-finite row. With `values`
+    false no value is parsed, and the features have no columns."""
     columns = feature_dim + 3
     ids: list[tuple[str, str, str]] = []  # (sample id, subject id, label name) per row
     texts: list[str] = []  # the comma-separated values of each row
@@ -255,14 +261,16 @@ def _read_features(path: Path, entry: SessionEntry, feature_dim: int):
                         f"label {label_name!r} is not declared for session {entry.name!r}",
                         path=path, line=line_no, field="label")
                 # `float` reads 1_0 and ١; `np.loadtxt` reads 0x1c-0x1f as spaces,
-                # skips a blank text and splits a quoted `,`, which `float` refuses
-                values = ",".join(fields[3:])
-                if (not values.isascii() or not values.strip() or values.count(",") != columns - 4
-                        or any(char in values for char in "_\x1c\x1d\x1e\x1f")):
+                # skips a blank text and splits a quoted `,`, which `float` refuses;
+                # a blank value is refused here, so a load that parses none refuses it
+                text = ",".join(fields[3:])
+                if (not text.isascii() or text.count(",") != columns - 4
+                        or any(char in text for char in "_\x1c\x1d\x1e\x1f")
+                        or ",," in "".join(f",{text},".split())):
                     raise DataLoadError("non-numeric feature value",
                                         path=path, line=line_no, field="features")
                 ids.append((sample_id, subject_id, label_name))
-                texts.append(values)
+                texts.append(text)
                 lines.append(line_no)
     except DataLoadError as exc:
         fault = exc
@@ -274,7 +282,8 @@ def _read_features(path: Path, entry: SessionEntry, feature_dim: int):
             exc = whole
         fault = DataLoadError(f"not valid UTF-8: {exc.reason}", path=path,
                               line=raw.count(b"\n", 0, exc.start) + 1)
-    features = _values(texts, lines, feature_dim, path) if texts else None
+    features = (_values(texts, lines, feature_dim, path) if values and texts
+                else np.empty((len(texts), 0)))
     if fault is not None:
         raise fault
     if not ids:
@@ -301,16 +310,18 @@ def _values(texts: list[str], lines: list[int], dim: int, path: Path) -> np.ndar
     return values
 
 
-def load_sequence(manifest: Manifest | str | Path) -> SessionSequence:
+def load_sequence(manifest: Manifest | str | Path, values: bool = True) -> SessionSequence:
+    """The manifest's sessions in order; with `values` false, no feature value is
+    parsed and the sequence has no feature columns (`feature_dim` 0)."""
     if not isinstance(manifest, Manifest):
         manifest = load_manifest(manifest)
     registry = manifest.registry()
     sessions = [
         load_session_features(entry, registry, manifest.feature_dim, t,
-                              manifest.shared_subjects)
+                              manifest.shared_subjects, values)
         for t, entry in enumerate(manifest.sessions, start=1)
     ]
-    return SessionSequence.build(sessions, registry, manifest.feature_dim)
+    return SessionSequence.build(sessions, registry, manifest.feature_dim if values else 0)
 
 
 def write_stream(seq: SessionSequence, out_dir: str | Path) -> Path:

@@ -94,6 +94,9 @@ class ExperimentReport:
             check_real(name, getattr(self, name))
         if not isinstance(self.config, dict):
             raise ConfigurationError(f"must be a JSON object, got {self.config!r}", "config")
+        learner = self.config.get("learner", {})
+        if not isinstance(learner, dict):  # `format_report_table` reads its variant
+            raise ConfigurationError(f"must be a JSON object, got {learner!r}", "config.learner")
         check_int("config.k", self.config.get("k", 1), 1)  # k is optional
 
     @property

@@ -166,10 +166,10 @@ def run_trial(cfg: ExperimentConfig, seq: SessionSequence,
     return _run_trials(cfg, seq, assignments, [trial_index], learner_factory)[0]
 
 
-def build_sequence(cfg: ExperimentConfig) -> SessionSequence:
+def build_sequence(cfg: ExperimentConfig, values: bool = True) -> SessionSequence:
     if cfg.synth is not None:
         return generate_stream(cfg.synth)
-    return interface.load_sequence(cfg.manifest)
+    return interface.load_sequence(cfg.manifest, values)
 
 
 def run_experiment(cfg: ExperimentConfig,

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import re
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdil import interface
 from cdil.cli import CONFIG_KEYS, config_from_file, main as cli_main
 from cdil.core import DataLoadError, ProtocolError
 from cdil.interface import (Manifest, SessionEntry, format_report_table, load_manifest,
@@ -298,6 +300,19 @@ def test_a_report_config_that_is_not_an_object_never_loads(written_run, config):
         path.write_text(original, encoding="utf-8")
 
 
+@pytest.mark.parametrize("learner", [[], None, "prototype"])
+def test_report_refuses_a_config_learner_that_is_not_an_object(tmp_path, capsys, learner):
+    trials = [TrialResult(trial_index=i, correct=(3 + i, 40), total=(10, 50)) for i in (1, 2)]
+    path = write_report(aggregate(trials, config={"k": 2, "learner": {"variant": "prototype"}}),
+                        tmp_path / "run")
+    record = json.loads(path.read_text(encoding="utf-8"))
+    record["config"]["learner"] = learner
+    path.write_text(json.dumps(record), encoding="utf-8")
+    assert cli_main(["report", "--in", str(path.parent)]) == 2
+    assert capsys.readouterr().err == (f"error: {path}: field 'config.learner': "
+                                       f"must be a JSON object, got {learner!r}\n")
+
+
 @pytest.fixture(scope="module")
 def default_stream_dir(tmp_path_factory):
     """`cdil synth` of the default spec: session 1's CSV is about 250 kB."""
@@ -338,6 +353,140 @@ def test_non_utf8_byte_exits_2_naming_the_csv_and_line(tmp_path, capsys, default
     assert code == 2
     csv_path = (tmp_path / "stream" / "session_1.csv").resolve()
     assert f"error: {csv_path}: line 150: not valid UTF-8" in capsys.readouterr().err
+
+
+SPLIT_SPEC = {"session_label_sets": [["a", "b", "c"], ["b", "c", "d"]], "feature_dim": 4,
+              "samples_per_class_per_session": 10, "subjects_per_session": 6, "seed": 3}
+
+
+@pytest.fixture(scope="module")
+def split_inputs(tmp_path_factory):
+    """Two manifests for `cdil split`: a written synth stream ("stream"), and a copy
+    of its manifest ("filtered") with `shared_subjects` false whose session 2 keeps
+    four rows of class `d`, which its `min_samples_per_class` of 5 drops."""
+    root = tmp_path_factory.mktemp("split")
+    spec = root / "spec.json"
+    spec.write_text(json.dumps(SPLIT_SPEC), encoding="utf-8")
+    assert cli_main(["synth", "--spec", str(spec), "--out", str(root / "stream")]) == 0
+    manifest = json.loads((root / "stream" / "manifest.json").read_text(encoding="utf-8"))
+    lines = (root / "stream" / "session_2.csv").read_bytes().split(b"\r\n")
+    d_rows = [i for i, line in enumerate(lines) if line.split(b",")[2:3] == [b"d"]]
+    (root / "filtered").mkdir()
+    (root / "filtered" / "session_2.csv").write_bytes(
+        b"\r\n".join(line for i, line in enumerate(lines) if i not in d_rows[4:]))
+    manifest["shared_subjects"] = False
+    manifest["sessions"][0]["features_path"] = "../stream/session_1.csv"
+    manifest["sessions"][1]["min_samples_per_class"] = 5
+    (root / "filtered" / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    session = load_sequence(root / "filtered" / "manifest.json").session(2)
+    assert session.size == 20 and len(session.label_set) == 2
+    return {"stream": root / "stream" / "manifest.json",
+            "filtered": root / "filtered" / "manifest.json"}
+
+
+def cdil_on(tmp_path, command, manifest, protocol="slcv"):
+    """`cdil <command>` (split or run) of a k = 3, seed 9 prototype config over
+    `manifest`; returns the exit code and, for a split that exits 0, its folds CSV."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"k": 3, "seed": 9, "learner": {"variant": "prototype"},
+                                  "data": {"manifest": str(manifest)}}), encoding="utf-8")
+    out = tmp_path / "folds.csv"
+    out.unlink(missing_ok=True)
+    argv = [command, "--config", str(config), "--protocol", protocol]
+    code = cli_main(argv + (["--out", str(out)] if command == "split" else []))
+    return code, out.read_bytes() if code == 0 and command == "split" else None
+
+
+# SHA-256 of `cdil split`'s folds CSV, pinned from the reader that parsed every value
+FOLDS_SHA256 = {
+    ("stream", "slcv"):
+        "649a8d23c95f3e482bfa086a7bb00d6ae8760862f62091913317f56f148cff6c",
+    ("stream", "ilcv"):
+        "b8e475de385488220c1bb432f5e7a1b350172726f0efb6e377df633f240d19cb",
+    ("filtered", "slcv"):
+        "05c3e0a02a0ab54746dced62b89ef4c2e830a3e977472cd5cedd29a8553ba2ef",
+    ("filtered", "ilcv"):
+        "4ced16936c3c8cbbeecd0a402e4ef51342e4d6f794be2155fc8fb537892e912d",
+}
+
+
+@pytest.mark.parametrize("source, protocol", sorted(FOLDS_SHA256))
+def test_split_folds_bytes_are_pinned(tmp_path, split_inputs, source, protocol):
+    code, folds = cdil_on(tmp_path, "split", split_inputs[source], protocol)
+    assert code == 0
+    assert hashlib.sha256(folds).hexdigest() == FOLDS_SHA256[source, protocol]
+
+
+def set_value(text):
+    return lambda cells: cells[:3] + [text] + cells[4:]
+
+
+# (damage to the cells of line 5 of session_1.csv, whether `cdil split` still
+# refuses the file, the end of the error line both commands give where they refuse,
+# or None where only the file and line are pinned)
+DAMAGES = {
+    "nan": (set_value(b"nan"), False, "field 'features': non-finite feature value"),
+    "inf": (set_value(b"inf"), False, "field 'features': non-finite feature value"),
+    "1e999": (set_value(b"1e999"), False, "field 'features': non-finite feature value"),
+    "abc": (set_value(b"abc"), False, "field 'features': non-numeric feature value"),
+    "1_0": (set_value(b"1_0"), True, "field 'features': non-numeric feature value"),
+    "blank value": (set_value(b""), True, "field 'features': non-numeric feature value"),
+    "whitespace value": (set_value(b" "), True, "field 'features': non-numeric feature value"),
+    "blank last value": (lambda cells: cells[:-1] + [b"\t"], True,
+                         "field 'features': non-numeric feature value"),
+    "extra column": (lambda cells: cells + [b"1.0"], True, "expected 7 columns, got 8"),
+    # the quote opens a field that runs to the end of the file; the text is not
+    # pinned, as it names the column count and not the unclosed quote
+    "stray quote": (lambda cells: [b'"' + cells[0]] + cells[1:], True, None),
+    "non-utf8 byte": (lambda cells: [cells[0] + b"\xe9"] + cells[1:], True,
+                      "not valid UTF-8: invalid continuation byte"),
+    "duplicate sample_id": (lambda cells: [b"s1-0002"] + cells[1:], True,  # line 4's
+                            "field 'sample_id': duplicate sample_id 's1-0002'"),
+    "undeclared label": (lambda cells: cells[:2] + [b"zzz"] + cells[3:], True,
+                         "field 'label': label 'zzz' is not declared for session 'session_1'"),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DAMAGES))
+def test_each_command_refuses_what_it_reads(tmp_path, capsys, split_inputs, damage):
+    """`cdil split` checks every record's ids, labels and value text but parses no
+    value, so a value only `float` or the finiteness check refuses leaves its folds
+    as the clean file's; `cdil run` refuses it naming the file, line and field."""
+    edit, split_refuses, reason = DAMAGES[damage]
+    clean = cdil_on(tmp_path, "split", split_inputs["stream"])
+    stream = shutil.copytree(split_inputs["stream"].parent, tmp_path / "stream")
+    csv_path = stream / "session_1.csv"
+    lines = csv_path.read_bytes().split(b"\r\n")
+    lines[4] = b",".join(edit(lines[4].split(b",")))
+    csv_path.write_bytes(b"\r\n".join(lines))
+    capsys.readouterr()
+    where = f"error: {csv_path.resolve()}: line 5: "
+    assert cdil_on(tmp_path, "run", stream / "manifest.json") == (2, None)
+    run_error = capsys.readouterr().err.splitlines()[-1]
+    assert run_error == where + reason if reason else run_error.startswith(where)
+    split = cdil_on(tmp_path, "split", stream / "manifest.json")
+    err = capsys.readouterr().err
+    if split_refuses:
+        assert split == (2, None)
+        assert err.splitlines()[-1] == run_error
+    else:
+        assert split == clean and clean[0] == 0
+        assert "error" not in err
+
+
+def test_split_parses_no_feature_value(tmp_path, capsys, monkeypatch, split_inputs):
+    def refuse(*args, **kwargs):
+        raise RuntimeError("a feature value was parsed")
+
+    monkeypatch.setattr(interface, "_values", refuse)
+    monkeypatch.setattr(interface.np, "loadtxt", refuse)
+    for protocol in ("slcv", "ilcv"):
+        code, folds = cdil_on(tmp_path, "split", split_inputs["stream"], protocol)
+        assert code == 0
+        assert hashlib.sha256(folds).hexdigest() == FOLDS_SHA256["stream", protocol]
+    capsys.readouterr()
+    assert cdil_on(tmp_path, "run", split_inputs["stream"]) == (2, None)
+    assert capsys.readouterr().err.endswith("error: a feature value was parsed\n")
 
 
 class TestLoadSessionFeatures:
@@ -470,6 +619,15 @@ class TestLoadSessionFeatures:
         assert session.sample_ids == ("a1", "a2", "a3")
         assert session.labels.tolist() == [0, 1, 0]
         assert np.array_equal(session.features, [[0.5, 1.5], [-1.0, 2.0], [0.25, 0.125]])
+
+    def test_a_load_without_values_keeps_every_column_but_the_features(self, toy_dataset):
+        full, bare = load_sequence(toy_dataset), load_sequence(toy_dataset, values=False)
+        assert bare.feature_dim == 0 and bare.registry.names == full.registry.names
+        for got, expected in zip(bare.sessions, full.sessions, strict=True):
+            assert got.features.shape == (expected.size, 0)
+            assert (got.sample_ids, got.subject_ids, got.label_set) == (
+                expected.sample_ids, expected.subject_ids, expected.label_set)
+            assert got.labels.tolist() == expected.labels.tolist()
 
 
 class TestStreamRoundTrip:
