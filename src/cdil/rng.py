@@ -11,11 +11,13 @@ module and numpy's default streams are never used.
 a time: the state update is GF(2)-linear, so lanes started by jumps are the
 sequential stream laid end to end; numpy does only what IEEE 754 fixes
 exactly, and log, sin and cos stay on `math`. `u64_blocks` draws several
-generators' blocks as the lanes of one array. `shuffle_plans` takes every word
-of E successive Fisher-Yates shuffles by each of several generators from one
-such draw, bit for bit as E per-shuffle draws; a generator whose words hold one
-`randbelow` would reject is restored and makes its picks one `randbelow` at a
-time. `shuffle` is its one-generator, one-shuffle case.
+generators' blocks as the lanes of one array, and `normal_rows` draws several
+generators' normals from one such draw; `normals` is its one-generator case.
+`shuffle_plans` takes every word of E successive Fisher-Yates shuffles by each
+of several generators from one such draw, bit for bit as E per-shuffle draws; a
+generator whose words hold one `randbelow` would reject is restored and makes
+its picks one `randbelow` at a time. `shuffle` is its one-generator,
+one-shuffle case.
 
 Substreams are derived by hashing an ordered tuple of purpose tags
 (experiment seed, session index, protocol name, ...) with SHA-256 and
@@ -61,7 +63,8 @@ def _rotl(x: int, k: int) -> int:
 
 # below _MIN_BLOCK words in all, for 1 to 10 generators, the scalar loop is faster than
 # jumping the lanes (timeit, 2-CPU x86)
-_LANE_STEPS, _MIN_BLOCK, _CHUNK = 64, 1600, 4096  # lane length, least block, normals per block
+_LANE_STEPS, _MIN_BLOCK = 64, 1600  # lane length, least block
+_CHUNK = 4096  # words per pass of the scrambler and of Box-Muller, bounding their temporaries
 _JUMPS: list[np.ndarray] = []  # [k]: (64, 16, 4) table of _LANE_STEPS * 2**k steps, built on use
 
 
@@ -80,9 +83,17 @@ def _step(s: np.ndarray) -> None:
 
 
 def _scrambled(s1s: np.ndarray) -> np.ndarray:
-    """The outputs, rotl(s1 * 5, 7) * 9, of the uint64 s1 values of successive steps."""
-    x = s1s * np.uint64(5)
-    return ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+    """The outputs, rotl(s1 * 5, 7) * 9, of the uint64 s1 values of successive steps,
+    written over them, _CHUNK at a time."""
+    flat = s1s.reshape(-1)
+    for lo in range(0, len(flat), _CHUNK):
+        x = flat[lo:lo + _CHUNK]
+        x *= np.uint64(5)
+        high = x >> np.uint64(57)
+        x <<= np.uint64(7)
+        x |= high
+        x *= np.uint64(9)
+    return s1s
 
 
 def _jump(s: np.ndarray, k: int) -> np.ndarray:
@@ -171,24 +182,10 @@ class Xoshiro256StarStar:
 
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of standard normal draws in row-major fill order, bit for bit
-        scalar Box-Muller draws; a sine value left over is kept for the next call."""
-        out = np.empty(shape, dtype=np.float64)
-        flat = out.reshape(-1)
-        start = int(flat.size > 0 and self._spare is not None)
-        if start:
-            flat[0], self._spare = self._spare, None
-        for lo in range(start, flat.size, _CHUNK):
-            size = min(_CHUNK, flat.size - lo)
-            x = self._u64s(size + size % 2) >> np.uint64(11)
-            u1 = (x[0::2] + np.uint64(1)).astype(np.float64) * 2.0**-53  # (0, 1]
-            u2 = x[1::2].astype(np.float64) * 2.0**-53
-            r = np.sqrt(-2.0 * _math(math.log, u1))
-            theta = 2.0 * math.pi * u2
-            pairs = r * np.array([_math(math.cos, theta), _math(math.sin, theta)])
-            flat[lo:lo + size] = pairs.T.reshape(-1)[:size]
-            if size % 2:
-                self._spare = float(pairs[1, -1])
-        return out
+        scalar Box-Muller draws; a sine value left over is kept for the next call.
+        The one-generator case of `normal_rows`."""
+        size = math.prod(shape) if isinstance(shape, tuple) else shape
+        return normal_rows([self], size)[0].reshape(shape)
 
 
 def substream(*parts: SeedPart) -> Xoshiro256StarStar:
@@ -213,16 +210,53 @@ def u64_blocks(gens: Sequence[Xoshiro256StarStar], counts: Sequence[int]) -> lis
     for i, n in enumerate(counts):
         if n:
             ends.setdefault((n - 1) % _LANE_STEPS + 1, []).append(i)
-    s1s = np.empty((_LANE_STEPS, lanes * g), dtype=np.uint64)
+    s1s = np.empty((g, lanes, _LANE_STEPS), dtype=np.uint64)  # [i, j]: lane j of generator i
+    into, s1 = s1s.transpose(2, 1, 0), s[1].reshape(lanes, g)  # views; `_step` works in place
     for step in range(1, _LANE_STEPS + 1):
-        s1s[step - 1] = s[1]
+        into[step - 1] = s1
         _step(s)
         for i in ends.get(step, ()):
             last = s[:, (counts[i] - 1) // _LANE_STEPS * g + i].tolist()
             gens[i]._s0, gens[i]._s1, gens[i]._s2, gens[i]._s3 = last
     # row i holds generator i's lanes laid end to end
-    words = _scrambled(s1s.reshape(_LANE_STEPS, lanes, g).transpose(2, 1, 0).reshape(g, -1))
+    words = _scrambled(s1s.reshape(g, -1))
     return [row[:n] for row, n in zip(words, counts)]
+
+
+def normal_rows(gens: Sequence[Xoshiro256StarStar], n: int) -> np.ndarray:
+    """Row i: the next n standard normals of the distinct generator gens[i], bit
+    for bit n scalar Box-Muller draws, a pending sine value first; a sine value
+    left over is kept for the next draw. Every word comes from one `u64_blocks`
+    draw, and Box-Muller runs over the pairs of all rows, _CHUNK words at a time."""
+    firsts = [gen._spare if n else None for gen in gens]
+    counts = [n - (first is not None) for first in firsts]  # the values drawn anew
+    if n:
+        for gen in gens:
+            gen._spare = None
+    words = u64_blocks(gens, [count + count % 2 for count in counts])
+    x = words[0] if len(words) == 1 else np.concatenate([np.empty(0, np.uint64), *words])
+    del words
+    values = x.view(np.float64)  # each chunk's words, once read, hold its pairs' cos, sin
+    for lo in range(0, len(x), _CHUNK):
+        chunk = x[lo:lo + _CHUNK] >> np.uint64(11)
+        u1 = (chunk[0::2] + np.uint64(1)).astype(np.float64) * 2.0**-53  # (0, 1]
+        u2 = chunk[1::2].astype(np.float64) * 2.0**-53
+        r = np.sqrt(-2.0 * _math(math.log, u1))
+        theta = 2.0 * math.pi * u2
+        values[lo:lo + len(chunk)] = (r * np.array([_math(math.cos, theta),
+                                                    _math(math.sin, theta)])).T.reshape(-1)
+    if firsts == [None] and len(values) == n:  # one row, nothing pending or left over
+        return values.reshape(1, n)
+    out = np.empty((len(gens), n), dtype=np.float64)
+    at = 0
+    for row, gen, first, count in zip(out, gens, firsts, counts):
+        row[n - count:] = values[at:at + count]
+        if first is not None:
+            row[0] = first
+        if count % 2:
+            gen._spare = float(values[at + count])
+        at += count + count % 2
+    return out
 
 
 def shuffle_plans(gens: Sequence[Xoshiro256StarStar], sizes: Sequence[int],

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import (LabelRegistry, SessionDataset, SessionSequence,
                    check_int, check_list, check_names, check_real)
-from .rng import substream
+from .rng import normal_rows, substream
 
 DEFAULT_SESSION_LABELS: tuple[tuple[str, ...], ...] = (
     ("disgust", "happiness", "others", "repression", "surprise"),
@@ -60,38 +60,40 @@ class SynthSpec:
             check_real(name, getattr(self, name), 0)
 
 
-def _direction(rng, dim: int, norm: float) -> np.ndarray:
-    """Random vector with the given norm (zero norm gives the zero vector)."""
+def _directions(rngs, dim: int, norm: float) -> np.ndarray:
+    """Row i: a random vector with the given norm drawn from rngs[i] (a zero norm
+    gives zero vectors and draws nothing). The rows are drawn together, as each
+    would be alone, and a row of length zero is redrawn from its own generator."""
     if norm == 0.0:
-        return np.zeros(dim)
-    raw = rng.normals(dim)
-    length = np.linalg.norm(raw)
-    while length == 0.0:
-        raw = rng.normals(dim)
-        length = np.linalg.norm(raw)
-    return raw * (norm / length)
+        return np.zeros((len(rngs), dim))
+    rows = normal_rows(rngs, dim)
+    for rng, row in zip(rngs, rows):
+        length = np.linalg.norm(row)
+        while length == 0.0:
+            row[:] = rng.normals(dim)
+            length = np.linalg.norm(row)
+        row *= norm / length
+    return rows
 
 
 def generate_stream(spec: SynthSpec) -> SessionSequence:
     """Deterministically generate the session stream described by `spec`."""
     registry = LabelRegistry(name for labels in spec.session_label_sets for name in labels)
-
-    class_means = {
-        name: _direction(substream(spec.seed, "class-mean", name),
-                         spec.feature_dim, spec.class_separation)
-        for name in registry.names
-    }
+    dim = spec.feature_dim
+    class_means = dict(zip(registry.names, _directions(
+        [substream(spec.seed, "class-mean", name) for name in registry.names],
+        dim, spec.class_separation)))
+    session_shifts = _directions(
+        [substream(spec.seed, "session-shift", t)
+         for t in range(1, len(spec.session_label_sets) + 1)], dim, spec.domain_shift)
 
     sessions = []
-    for t, labels in enumerate(spec.session_label_sets, start=1):
-        session_shift = _direction(substream(spec.seed, "session-shift", t),
-                                   spec.feature_dim, spec.domain_shift)
+    for t, (labels, session_shift) in enumerate(zip(spec.session_label_sets, session_shifts),
+                                                 start=1):
         subject_ids = [f"s{t}:p{i:02d}" for i in range(spec.subjects_per_session)]
-        subject_shifts = {
-            sid: _direction(substream(spec.seed, "subject-shift", sid),
-                            spec.feature_dim, spec.subject_shift)
-            for sid in subject_ids
-        }
+        subject_shifts = dict(zip(subject_ids, _directions(
+            [substream(spec.seed, "subject-shift", sid) for sid in subject_ids],
+            dim, spec.subject_shift)))
         deal_order = list(subject_ids)
         substream(spec.seed, "subject-deal", t).shuffle(deal_order)
         class_subjects = {name: deal_order[j::len(labels)] for j, name in enumerate(labels)}
@@ -102,7 +104,7 @@ def generate_stream(spec: SynthSpec) -> SessionSequence:
                         for name in labels for m in per_class]
         # one noise block in row order holds the draws of one normals(feature_dim) per
         # row; adding each row's mean to it in place is exact, as a + b == b + a
-        features = substream(spec.seed, "noise", t).normals((len(row_names), spec.feature_dim))
+        features = substream(spec.seed, "noise", t).normals((len(row_names), dim))
         features *= spec.noise_sigma
         for row, name, subject in zip(features, row_names, row_subjects):
             row += class_means[name] + session_shift + subject_shifts[subject]

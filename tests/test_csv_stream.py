@@ -40,7 +40,8 @@ def reference_load_session_features(entry, registry, feature_dim, session_index,
     line_no = 1
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
+            # strict: an unclosed quote or text after a closing quote is refused
+            reader = csv.reader(fh, strict=True)
             header = next(reader, None)
             if header is None:
                 raise DataLoadError("empty feature file", path=path, line=1)

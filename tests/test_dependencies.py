@@ -64,10 +64,20 @@ def test_imports_match_declared_dependencies():
                                      for d in declared}
 
 
-def test_cli_import_loads_no_scipy():
+def cli_import_loads(package: str) -> list[str]:
+    """The modules of `package` that `import cdil.cli` loads in a new interpreter."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(PACKAGE.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    probe = "import sys, cdil.cli; print(sorted(m for m in sys.modules if m[:5] == 'scipy'))"
-    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                            text=True, check=True).stdout
-    assert loaded.strip() == "[]"
+    probe = ("import sys, cdil.cli; "
+             f"print(*sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, check=True).stdout.split()
+
+
+def test_cli_import_loads_no_scipy():
+    assert cli_import_loads("scipy") == []
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # `write_stream` imports it where it forks, so `cdil run` and `cdil split` start without it
+    assert cli_import_loads("multiprocessing") == []

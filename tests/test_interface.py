@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -435,9 +436,11 @@ DAMAGES = {
     "blank last value": (lambda cells: cells[:-1] + [b"\t"], True,
                          "field 'features': non-numeric feature value"),
     "extra column": (lambda cells: cells + [b"1.0"], True, "expected 7 columns, got 8"),
-    # the quote opens a field that runs to the end of the file; the text is not
-    # pinned, as it names the column count and not the unclosed quote
-    "stray quote": (lambda cells: [b'"' + cells[0]] + cells[1:], True, None),
+    # the quote opens a field that runs to the end of the file
+    "stray quote": (lambda cells: [b'"' + cells[0]] + cells[1:], True,
+                    "malformed CSV record: unexpected end of data"),
+    "text after a closing quote": (lambda cells: [b'"' + cells[0] + b'"x'] + cells[1:], True,
+                                   "malformed CSV record: ',' expected after '\"'"),
     "non-utf8 byte": (lambda cells: [cells[0] + b"\xe9"] + cells[1:], True,
                       "not valid UTF-8: invalid continuation byte"),
     "duplicate sample_id": (lambda cells: [b"s1-0002"] + cells[1:], True,  # line 4's
@@ -463,7 +466,7 @@ def test_each_command_refuses_what_it_reads(tmp_path, capsys, split_inputs, dama
     where = f"error: {csv_path.resolve()}: line 5: "
     assert cdil_on(tmp_path, "run", stream / "manifest.json") == (2, None)
     run_error = capsys.readouterr().err.splitlines()[-1]
-    assert run_error == where + reason if reason else run_error.startswith(where)
+    assert run_error == where + reason
     split = cdil_on(tmp_path, "split", stream / "manifest.json")
     err = capsys.readouterr().err
     if split_refuses:
@@ -673,6 +676,77 @@ class TestStreamRoundTrip:
         with pytest.raises(DataLoadError, match="manifest.json: file not found"):
             load_sequence(manifest)
         assert not list(out.glob("*.tmp"))
+
+
+POOL_SPEC = SynthSpec(session_label_sets=(("a", "b"), ("b", "c"), ("a", "c"), ("c", "d")),
+                      feature_dim=6, samples_per_class_per_session=5, subjects_per_session=3,
+                      seed=12)
+
+
+def stream_bytes(out):
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.fixture
+def fork_contexts(monkeypatch):
+    """The start methods `write_stream` asks `multiprocessing` for, in call order."""
+    methods, get_context = [], multiprocessing.get_context
+
+    def spy(method=None):
+        methods.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    return methods
+
+
+class TestPooledWrite:
+    """From `_MIN_POOL_VALUES` values on, `write_stream` writes its session CSVs
+    in forked workers, one per CPU and at most one per session."""
+
+    @pytest.mark.parametrize("floor", [0, 10**9], ids=["pool", "in-process"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_the_bytes_do_not_depend_on_the_workers(self, tmp_path, monkeypatch, fork_contexts,
+                                                    floor, cpus):
+        seq = generate_stream(POOL_SPEC)
+        write_stream(seq, tmp_path / "one")
+        expected = stream_bytes(tmp_path / "one")
+        assert not fork_contexts
+        monkeypatch.setattr(interface, "_MIN_POOL_VALUES", floor)
+        monkeypatch.setattr(interface, "_cpus", lambda: cpus)
+        write_stream(seq, tmp_path / "stream")
+        assert stream_bytes(tmp_path / "stream") == expected
+        assert fork_contexts == (["fork"] if floor == 0 and cpus > 1 else [])
+        assert not multiprocessing.active_children()
+
+    def test_the_floor_is_counted_in_feature_values(self, tmp_path, monkeypatch, fork_contexts):
+        seq = generate_stream(POOL_SPEC)
+        values = sum(session.features.size for session in seq.sessions)
+        monkeypatch.setattr(interface, "_cpus", lambda: 2)
+        for floor, forks in ((values + 1, []), (values, ["fork"])):
+            monkeypatch.setattr(interface, "_MIN_POOL_VALUES", floor)
+            fork_contexts.clear()
+            write_stream(seq, tmp_path / "stream")
+            assert fork_contexts == forks
+
+    @pytest.mark.parametrize("floor", [0, 10**9], ids=["pool", "in-process"])
+    def test_a_session_path_that_is_a_directory_exits_2_naming_it(self, tmp_path, capsys,
+                                                                  monkeypatch, floor):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"session_label_sets": POOL_SPEC.session_label_sets,
+                                    "feature_dim": 6}), encoding="utf-8")
+        out = tmp_path / "stream"
+        assert cli_main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        (out / "session_2.csv").unlink()
+        (out / "session_2.csv").mkdir()
+        monkeypatch.setattr(interface, "_MIN_POOL_VALUES", floor)
+        monkeypatch.setattr(interface, "_cpus", lambda: 2)
+        capsys.readouterr()
+        assert cli_main(["synth", "--spec", str(spec), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {out / 'session_2.csv'}: Is a directory\n"
+        assert not (out / "manifest.json").exists()
+        assert not list(out.glob("*.tmp"))
+        assert not multiprocessing.active_children()
 
 
 class TestReports:

@@ -524,8 +524,8 @@ class TestShufflePlans:
             calls.append(list(counts))
             return u64_blocks(gens, counts)
 
+        sessions = self.sessions()  # its normals draw words through `u64_blocks` too
         monkeypatch.setattr(cdil.rng, "u64_blocks", counted)
-        sessions = self.sessions()
         self.train_stacked(sessions)
         epochs = [self.CFG.epochs_first] + [self.CFG.epochs_later] * (len(sessions) - 1)
         assert calls == [[e * (len(features) - tau - 1) for tau in self.TRIALS]

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdil import rng as rng_module
-from cdil.rng import (Xoshiro256StarStar, derive_seed, permute, shuffle_plans, substream,
-                      u64_blocks)
+from cdil.rng import (Xoshiro256StarStar, derive_seed, normal_rows, permute, shuffle_plans,
+                      substream, u64_blocks)
 
 
 def scalar_normal(rng):
@@ -130,6 +130,23 @@ def test_block_normals_equal_scalar_normals_bitwise(seed, before, n):
     assert drawn.tobytes() == np.array([scalar_normal(scalar) for _ in range(n)]).tobytes()
     assert _state(block) == _state(scalar)
     assert scalar_normal(block) == scalar_normal(scalar)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), spares=st.lists(st.booleans(), max_size=6),
+       n=st.one_of(st.integers(0, 1500), st.sampled_from(BOUNDARIES)))
+def test_normal_rows_equal_each_generators_scalar_normals(seed, spares, n):
+    # a generator with a spare pending draws one word pair fewer for an even n
+    gens = [Xoshiro256StarStar(derive_seed(seed, i)) for i in range(len(spares))]
+    scalars = [Xoshiro256StarStar(derive_seed(seed, i)) for i in range(len(spares))]
+    for gen, scalar, spare in zip(gens, scalars, spares):
+        if spare:  # one draw before leaves a sine value pending
+            scalar_normal(gen), scalar_normal(scalar)
+    rows = normal_rows(gens, n)
+    assert rows.shape == (len(gens), n)
+    for gen, scalar, row in zip(gens, scalars, rows):
+        assert row.tobytes() == np.array([scalar_normal(scalar) for _ in range(n)]).tobytes()
+        assert _state(gen) == _state(scalar)
 
 
 @pytest.mark.parametrize("n", [0, 1, rng_module._MIN_BLOCK - 1, rng_module._MIN_BLOCK,

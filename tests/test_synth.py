@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from cdil import synth
 from cdil.core import ConfigurationError
+from cdil.rng import substream
 from cdil.synth import DEFAULT_SESSION_LABELS, SynthSpec, generate_stream
 
 
@@ -122,3 +124,29 @@ class TestGeometry:
                 total += 1
                 correct += (best == label)
         assert correct / total >= 0.9
+
+
+def one_direction(rng, dim, norm):
+    """A vector with the given norm drawn alone, redrawing a zero-length draw."""
+    if norm == 0.0:
+        return np.zeros(dim)
+    raw = rng.normals(dim)
+    while np.linalg.norm(raw) == 0.0:
+        raw = rng.normals(dim)
+    return raw * (norm / np.linalg.norm(raw))
+
+
+@pytest.mark.parametrize("norm", [0.0, 2.0])
+def test_directions_equal_one_draw_at_a_time(monkeypatch, norm):
+    # 3 rows of 701 normals take the lane path; row 1 of the lane draw is made
+    # zero, so its generator redraws alone, as a zero draw alone would
+    real, dim = synth.normal_rows, 701
+    monkeypatch.setattr(synth, "normal_rows", lambda gens, n: real(gens, n) * [[1], [0], [1]])
+    rngs = [substream(5, "direction", i) for i in range(3)]
+    alone = [substream(5, "direction", i) for i in range(3)]
+    if norm:
+        alone[1].normals(dim)  # the draw made zero
+    got = synth._directions(rngs, dim, norm)
+    for row, rng, reference in zip(got, rngs, alone):
+        assert row.tobytes() == one_direction(reference, dim, norm).tobytes()
+        assert rng.normals(1) == reference.normals(1)  # left where a draw alone leaves it
