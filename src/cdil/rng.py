@@ -1,16 +1,19 @@
-"""Portable seeded randomness for every stochastic step in the benchmark.
+"""Seeded randomness for every stochastic step in the benchmark.
 
 The generator is xoshiro256** (Blackman & Vigna), a 64-bit xorshift-family
 generator with a 256-bit state, seeded by expanding a single 64-bit seed
-through splitmix64. It is implemented here, not taken from a library, so
-that fold assignments, synthetic streams, and learner randomness are
-reproducible across platforms and library versions; the platform `random`
-module and numpy's default streams are never used.
+through splitmix64. It is implemented here, not taken from a library; the
+platform `random` module and numpy's default streams are never used. Its
+integer outputs, and so fold assignments and shuffles, are the same on every
+host. Normals call the host libm's log, cos and sin through `math`, so a
+stream, projection or head init may differ in its last bits between hosts.
 
-`normals` draws blocks equal bit for bit to scalar Box-Muller draws made one at
-a time: the state update is GF(2)-linear, so lanes started by jumps are the
-sequential stream laid end to end; numpy does only what IEEE 754 fixes
-exactly, and log, sin and cos stay on `math`. `u64_blocks` draws several
+A generator is its state, four 64-bit words, and `_s1s` is the one Python loop
+that steps it. `normals` draws blocks equal bit for bit to scalar Box-Muller
+draws, one cosine, sine pair from each two words, an odd draw's last sine
+dropped: the state update is GF(2)-linear, so lanes started by jumps are the
+sequential stream laid end to end; numpy does only what IEEE 754 fixes exactly,
+and log, sin and cos stay on `math`. `u64_blocks` draws several
 generators' blocks as the lanes of one array, and `normal_rows` draws several
 generators' normals from one such draw; `normals` is its one-generator case.
 `shuffle_plans` takes every word of E successive Fisher-Yates shuffles by each
@@ -55,10 +58,6 @@ def _splitmix64(state: int) -> tuple[int, int]:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return state, z ^ (z >> 31)
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
 # below _MIN_BLOCK words in all, for 1 to 10 generators, the scalar loop is faster than
@@ -122,30 +121,18 @@ def _jump(s: np.ndarray, k: int) -> np.ndarray:
 class Xoshiro256StarStar:
     """xoshiro256** seeded from a single 64-bit integer via splitmix64."""
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3", "_spare")
+    __slots__ = ("_s",)
 
     def __init__(self, seed: int):
-        state = seed & _MASK64
-        state, self._s0 = _splitmix64(state)
-        state, self._s1 = _splitmix64(state)
-        state, self._s2 = _splitmix64(state)
-        state, self._s3 = _splitmix64(state)
-        if self._s0 == self._s1 == self._s2 == self._s3 == 0:
-            self._s0 = 1  # all-zero state is the one invalid seeding
-        self._spare: float | None = None
+        state, words = seed & _MASK64, []
+        for _ in range(4):
+            state, word = _splitmix64(state)
+            words.append(word)
+        self._s = tuple(words) if any(words) else (1, 0, 0, 0)  # all-zero is invalid
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return result
+        x = (_s1s(self, 1)[0] * 5) & _MASK64
+        return (((x << 7) | (x >> 57)) * 9) & _MASK64  # rotl(s1 * 5, 7) * 9
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n), unbiased via rejection sampling."""
@@ -162,30 +149,28 @@ class Xoshiro256StarStar:
         the one-shuffle case of `shuffle_plans`."""
         permute(items, shuffle_plans([self], [len(items)], 1)[0][0])
 
-    def _u64s(self, n: int) -> np.ndarray:
-        """The next n outputs, leaving the state where n `next_u64` calls would."""
-        if n >= _MIN_BLOCK:
-            return u64_blocks([self], [n])[0]
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        s1s = []
-        for _ in range(n):  # the `next_u64` step inlined over local ints
-            s1s.append(s1)
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s0, self._s1, self._s2, self._s3 = s0, s1, s2, s3
-        return _scrambled(np.array(s1s, dtype=np.uint64))
-
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of standard normal draws in row-major fill order, bit for bit
-        scalar Box-Muller draws; a sine value left over is kept for the next call.
-        The one-generator case of `normal_rows`."""
+        scalar Box-Muller draws: the one-generator case of `normal_rows`."""
         size = math.prod(shape) if isinstance(shape, tuple) else shape
         return normal_rows([self], size)[0].reshape(shape)
+
+
+def _s1s(gen: Xoshiro256StarStar, n: int) -> list[int]:
+    """The unscrambled s1 words of gen's next n steps, leaving it n steps on."""
+    s0, s1, s2, s3 = gen._s
+    s1s = []
+    for _ in range(n):
+        s1s.append(s1)
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+    gen._s = (s0, s1, s2, s3)
+    return s1s
 
 
 def substream(*parts: SeedPart) -> Xoshiro256StarStar:
@@ -201,9 +186,10 @@ def u64_blocks(gens: Sequence[Xoshiro256StarStar], counts: Sequence[int]) -> lis
     steps on; every generator gets the lanes of the longest draw, all are
     jumped and stepped together, and each draw ends in its own last lane."""
     if sum(counts) < _MIN_BLOCK:
-        return [gen._u64s(n) for gen, n in zip(gens, counts)]
+        return [_scrambled(np.array(_s1s(gen, n), dtype=np.uint64))
+                for gen, n in zip(gens, counts)]
     g, lanes = len(gens), -(-max(counts) // _LANE_STEPS)
-    s = np.array([[gen._s0, gen._s1, gen._s2, gen._s3] for gen in gens], dtype=np.uint64).T.copy()
+    s = np.array([gen._s for gen in gens], dtype=np.uint64).T.copy()
     for k in range((lanes - 1).bit_length()):  # lanes [2**k, 2**(k+1)) from [0, 2**k)
         s = np.concatenate([s, _jump(s[:, :(lanes - s.shape[1] // g) * g], k)], axis=1)
     ends: dict[int, list[int]] = {}  # step in the last lane -> the draws that end there
@@ -216,8 +202,7 @@ def u64_blocks(gens: Sequence[Xoshiro256StarStar], counts: Sequence[int]) -> lis
         into[step - 1] = s1
         _step(s)
         for i in ends.get(step, ()):
-            last = s[:, (counts[i] - 1) // _LANE_STEPS * g + i].tolist()
-            gens[i]._s0, gens[i]._s1, gens[i]._s2, gens[i]._s3 = last
+            gens[i]._s = tuple(s[:, (counts[i] - 1) // _LANE_STEPS * g + i].tolist())
     # row i holds generator i's lanes laid end to end
     words = _scrambled(s1s.reshape(g, -1))
     return [row[:n] for row, n in zip(words, counts)]
@@ -225,15 +210,12 @@ def u64_blocks(gens: Sequence[Xoshiro256StarStar], counts: Sequence[int]) -> lis
 
 def normal_rows(gens: Sequence[Xoshiro256StarStar], n: int) -> np.ndarray:
     """Row i: the next n standard normals of the distinct generator gens[i], bit
-    for bit n scalar Box-Muller draws, a pending sine value first; a sine value
-    left over is kept for the next draw. Every word comes from one `u64_blocks`
+    for bit scalar Box-Muller draws of one cosine, sine pair from each two words;
+    an odd n's last sine value is dropped. Every word comes from one `u64_blocks`
     draw, and Box-Muller runs over the pairs of all rows, _CHUNK words at a time."""
-    firsts = [gen._spare if n else None for gen in gens]
-    counts = [n - (first is not None) for first in firsts]  # the values drawn anew
-    if n:
-        for gen in gens:
-            gen._spare = None
-    words = u64_blocks(gens, [count + count % 2 for count in counts])
+    if n < 0:
+        raise ValueError("normal_rows requires n >= 0")
+    words = u64_blocks(gens, [n + n % 2] * len(gens))
     x = words[0] if len(words) == 1 else np.concatenate([np.empty(0, np.uint64), *words])
     del words
     values = x.view(np.float64)  # each chunk's words, once read, hold its pairs' cos, sin
@@ -245,18 +227,7 @@ def normal_rows(gens: Sequence[Xoshiro256StarStar], n: int) -> np.ndarray:
         theta = 2.0 * math.pi * u2
         values[lo:lo + len(chunk)] = (r * np.array([_math(math.cos, theta),
                                                     _math(math.sin, theta)])).T.reshape(-1)
-    if firsts == [None] and len(values) == n:  # one row, nothing pending or left over
-        return values.reshape(1, n)
-    out = np.empty((len(gens), n), dtype=np.float64)
-    at = 0
-    for row, gen, first, count in zip(out, gens, firsts, counts):
-        row[n - count:] = values[at:at + count]
-        if first is not None:
-            row[0] = first
-        if count % 2:
-            gen._spare = float(values[at + count])
-        at += count + count % 2
-    return out
+    return values.reshape(len(gens), n + n % 2)[:, :n]
 
 
 def shuffle_plans(gens: Sequence[Xoshiro256StarStar], sizes: Sequence[int],
@@ -266,7 +237,7 @@ def shuffle_plans(gens: Sequence[Xoshiro256StarStar], sizes: Sequence[int],
     e's j = randbelow(m + 1) for m = n-1..1, bit for bit. Every word comes from
     one `u64_blocks` draw. A generator one of whose words `randbelow` would
     reject is restored and makes its picks one `randbelow` at a time."""
-    saved = [(gen._s0, gen._s1, gen._s2, gen._s3) for gen in gens]
+    saved = [gen._s for gen in gens]
     widths = [max(n - 1, 0) for n in sizes]
     blocks = u64_blocks(gens, [epochs * width for width in widths])
     mask, plans = np.uint64(_MASK64), []
@@ -276,7 +247,7 @@ def shuffle_plans(gens: Sequence[Xoshiro256StarStar], sizes: Sequence[int],
         if (words <= mask - mask % bounds).all():
             plans.append(words % bounds)
         else:
-            gen._s0, gen._s1, gen._s2, gen._s3 = state
+            gen._s = state
             picks = [gen.randbelow(m + 1) for _ in range(epochs) for m in range(width, 0, -1)]
             plans.append(np.array(picks, dtype=np.uint64).reshape(epochs, width))
     return plans

@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import random
 import re
 import shutil
 import tracemalloc
@@ -1315,3 +1316,38 @@ class TestCli:
     def test_bad_config_reports_error(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(tmp_path / "nope.json")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_prototype_results_and_folds_do_not_depend_on_row_order(self, tmp_path):
+        """A grid stream (stream seed 3, 20 samples per class per session) with the
+        data rows of each session CSV permuted: the prototype's report.json and the
+        `cdil split` folds, as a set of lines, stay the same under both protocols."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"samples_per_class_per_session": 20}), encoding="utf-8")
+        assert cli_main(["synth", "--spec", str(spec), "--seed", "3",
+                         "--out", str(tmp_path / "stream")]) == 0
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"k": 5, "seed": 4, "learner": {"variant": "prototype"},
+                                      "data": {"manifest": "stream/manifest.json"}}),
+                          encoding="utf-8")
+
+        def outputs():
+            got = {}
+            for protocol in ("slcv", "ilcv"):
+                out, folds = tmp_path / "out", tmp_path / "folds.csv"
+                assert cli_main(["run", "--config", str(config), "--protocol", protocol,
+                                 "--deterministic", "--out", str(out)]) == 0
+                assert cli_main(["split", "--config", str(config), "--protocol", protocol,
+                                 "--out", str(folds)]) == 0
+                got[protocol] = ((out / "report.json").read_bytes(),
+                                 sorted(folds.read_text(encoding="utf-8").splitlines()))
+                shutil.rmtree(out)
+            return got
+
+        before = outputs()
+        for t, path in enumerate(sorted((tmp_path / "stream").glob("session_*.csv"))):
+            header, *rows = path.read_bytes().splitlines(keepends=True)
+            permuted = rows.copy()
+            random.Random(t).shuffle(permuted)
+            assert permuted != rows
+            path.write_bytes(b"".join([header, *permuted]))
+        assert outputs() == before

@@ -405,15 +405,37 @@ def numpy_blas() -> str:
         return ""
 
 
+def numpy_dispatch_targets(*families: str) -> str:
+    """The names, space-separated, of numpy's runtime-dispatched SIMD targets
+    of the given families ("avx512", "avx2") that this CPU has."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    members = {"avx512": lambda name: name.startswith("AVX512") or name == "X86_V4",
+               "avx2": lambda name: name in ("AVX2", "FMA3", "X86_V3")}
+    return " ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name)
+                    and any(members[family](name) for family in families))
+
+
 @pytest.mark.skipif("openblas" not in numpy_blas().lower()
                     or platform.machine().lower() not in ("x86_64", "amd64"),
                     reason="needs numpy linked to OpenBLAS on x86-64")
-def test_pinned_report_digests_hold_on_the_prescott_kernel():
-    # OpenBLAS picks its kernels by CPU; the digests must not depend on that
-    # choice. Prescott is the oldest x86-64 kernel, so every such CPU runs it.
+@pytest.mark.parametrize("families", [(), ("avx512",), ("avx512", "avx2")],
+                         ids=["numpy-simd-on", "no-avx512", "no-avx512-no-avx2"])
+def test_pinned_report_digests_hold_on_the_prescott_kernel(families):
+    # OpenBLAS picks its kernels by CPU, and numpy its SIMD loops; the digests
+    # must depend on neither choice. Prescott is the oldest x86-64 kernel, so
+    # every such CPU runs it. numpy warns on a target it does not dispatch, and
+    # a warning fails a test, so only targets it dispatches here are disabled.
+    disabled = numpy_dispatch_targets(*families)
+    if families and not disabled:
+        pytest.skip(f"numpy dispatches no {' or '.join(families)} target on this CPU")
     src = str(Path(cdil.pipeline.__file__).parents[1])
     env = {**os.environ, "OPENBLAS_CORETYPE": "Prescott",
            "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    if families:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{__file__}::test_pinned_report_digest"],

@@ -15,18 +15,17 @@ from cdil.rng import (Xoshiro256StarStar, derive_seed, normal_rows, permute, shu
                       substream, u64_blocks)
 
 
-def scalar_normal(rng):
-    """The scalar reference `normals` must equal: one Box-Muller draw, keeping
-    the sine value as the generator's spare for the next draw."""
-    if rng._spare is not None:
-        z, rng._spare = rng._spare, None
-        return z
-    u1 = ((rng.next_u64() >> 11) + 1) * 2.0**-53  # (0, 1]
-    u2 = (rng.next_u64() >> 11) * 2.0**-53
-    r = math.sqrt(-2.0 * math.log(u1))
-    theta = 2.0 * math.pi * u2
-    rng._spare = r * math.sin(theta)
-    return r * math.cos(theta)
+def scalar_normals(rng, n):
+    """The scalar reference `normals(n)` must equal: one Box-Muller pair, cosine
+    then sine, from each two `next_u64` words; an odd n's last sine is dropped."""
+    values = []
+    for _ in range(0, n, 2):
+        u1 = ((rng.next_u64() >> 11) + 1) * 2.0**-53  # (0, 1]
+        u2 = (rng.next_u64() >> 11) * 2.0**-53
+        r = math.sqrt(-2.0 * math.log(u1))
+        theta = 2.0 * math.pi * u2
+        values += [r * math.cos(theta), r * math.sin(theta)]
+    return np.array(values[:n], dtype=np.float64)
 
 
 def test_same_seed_same_stream():
@@ -105,10 +104,6 @@ def test_block_normals_known_answer():
     assert hashlib.sha256(draws.tobytes()).hexdigest() == KAT_NORMALS_SHA256
 
 
-def _state(rng):
-    return repr((rng._s0, rng._s1, rng._s2, rng._s3, rng._spare))
-
-
 # sizes next to the scalar/block threshold, lane multiples and normals chunks
 BOUNDARIES = [0, rng_module._LANE_STEPS, rng_module._MIN_BLOCK, 5 * rng_module._LANE_STEPS
               + rng_module._MIN_BLOCK, rng_module._CHUNK, 2 * rng_module._CHUNK,
@@ -119,34 +114,46 @@ SIZES = st.one_of(st.integers(0, 40_000),
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), before=st.integers(0, 3), n=SIZES)
-def test_block_normals_equal_scalar_normals_bitwise(seed, before, n):
-    # an odd number of draws before leaves a spare pending
+@given(seed=st.integers(0, 2**64 - 1), first=st.integers(0, 3), n=SIZES)
+def test_block_normals_equal_scalar_normals_bitwise(seed, first, n):
+    # an odd draw first drops its last sine and leaves no value pending
     block, scalar = Xoshiro256StarStar(seed), Xoshiro256StarStar(seed)
-    for rng in (block, scalar):
-        for _ in range(before):
-            scalar_normal(rng)
-    drawn = block.normals(n)
-    assert drawn.tobytes() == np.array([scalar_normal(scalar) for _ in range(n)]).tobytes()
-    assert _state(block) == _state(scalar)
-    assert scalar_normal(block) == scalar_normal(scalar)
+    assert block.normals(first).tobytes() == scalar_normals(scalar, first).tobytes()
+    assert block.normals(n).tobytes() == scalar_normals(scalar, n).tobytes()
+    assert block._s == scalar._s
+    assert block.normals(1).tobytes() == scalar_normals(scalar, 1).tobytes()
+
+
+@pytest.mark.parametrize("n", sorted({max(0, base + offset) for base in BOUNDARIES
+                                      for offset in (-1, 0, 1)}))
+def test_normals_take_n_words_rounded_up_to_even(n):
+    block, scalar = substream(n, "parity"), substream(n, "parity")
+    block.normals(n)
+    for _ in range(n + n % 2):
+        scalar.next_u64()
+    assert block._s == scalar._s
 
 
 @settings(max_examples=40, deadline=None)
-@given(seed=st.integers(0, 2**64 - 1), spares=st.lists(st.booleans(), max_size=6),
+@given(seed=st.integers(0, 2**64 - 1), odd_firsts=st.lists(st.booleans(), max_size=6),
        n=st.one_of(st.integers(0, 1500), st.sampled_from(BOUNDARIES)))
-def test_normal_rows_equal_each_generators_scalar_normals(seed, spares, n):
-    # a generator with a spare pending draws one word pair fewer for an even n
-    gens = [Xoshiro256StarStar(derive_seed(seed, i)) for i in range(len(spares))]
-    scalars = [Xoshiro256StarStar(derive_seed(seed, i)) for i in range(len(spares))]
-    for gen, scalar, spare in zip(gens, scalars, spares):
-        if spare:  # one draw before leaves a sine value pending
-            scalar_normal(gen), scalar_normal(scalar)
+def test_normal_rows_equal_each_generators_scalar_normals(seed, odd_firsts, n):
+    # generators that made an odd draw first stand where a draw one longer would leave them
+    gens = [Xoshiro256StarStar(derive_seed(seed, i)) for i in range(len(odd_firsts))]
+    scalars = [Xoshiro256StarStar(derive_seed(seed, i)) for i in range(len(odd_firsts))]
+    for gen, scalar, odd_first in zip(gens, scalars, odd_firsts):
+        if odd_first:
+            assert gen.normals(1).tobytes() == scalar_normals(scalar, 1).tobytes()
     rows = normal_rows(gens, n)
     assert rows.shape == (len(gens), n)
     for gen, scalar, row in zip(gens, scalars, rows):
-        assert row.tobytes() == np.array([scalar_normal(scalar) for _ in range(n)]).tobytes()
-        assert _state(gen) == _state(scalar)
+        assert row.tobytes() == scalar_normals(scalar, n).tobytes()
+        assert gen._s == scalar._s
+
+
+def test_a_negative_normals_size_is_refused():
+    with pytest.raises(ValueError):
+        substream(1, "negative").normals(-1)
 
 
 @pytest.mark.parametrize("n", [0, 1, rng_module._MIN_BLOCK - 1, rng_module._MIN_BLOCK,
@@ -155,8 +162,8 @@ def test_normal_rows_equal_each_generators_scalar_normals(seed, spares, n):
                                9999])
 def test_block_u64s_equal_next_u64(n):
     block, scalar = substream(n, "u64"), substream(n, "u64")
-    assert block._u64s(n).tolist() == [scalar.next_u64() for _ in range(n)]
-    assert _state(block) == _state(scalar)
+    assert u64_blocks([block], [n])[0].tolist() == [scalar.next_u64() for _ in range(n)]
+    assert block._s == scalar._s
 
 
 def test_import_builds_no_jump_table():
@@ -176,7 +183,7 @@ def reference_shuffle(rng, items):
 
 
 def test_block_shuffle_equals_randbelow_fisher_yates():
-    # one generator pair across every length 0..1500: both `_u64s` paths, and
+    # one generator pair across every length 0..1500: both `u64_blocks` paths, and
     # the state each shuffle leaves is the next one's start
     block, scalar = substream(3, "shuffle"), substream(3, "shuffle")
     for n in range(1501):
@@ -184,44 +191,43 @@ def test_block_shuffle_equals_randbelow_fisher_yates():
         block.shuffle(shuffled)
         reference_shuffle(scalar, expected)
         assert shuffled == expected, n
-        assert _state(block) == _state(scalar), n
+        assert block._s == scalar._s, n
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 19, 20, 1500])
 def test_every_shuffle_draws_one_block(monkeypatch, n):
-    # small or large, a shuffle draws its n-1 words in one `_u64s` call and,
+    # small or large, a shuffle draws its n-1 words in one `u64_blocks` call and,
     # with no word rejected, never calls `randbelow`
-    u64s, calls = Xoshiro256StarStar._u64s, []
+    calls = []
 
-    def counted(self, size):
-        calls.append(size)
-        return u64s(self, size)
+    def counted(gens, counts):
+        calls.append(list(counts))
+        return u64_blocks(gens, counts)
 
     def no_randbelow(self, bound):
         raise AssertionError("randbelow drew a shuffle position")
 
-    monkeypatch.setattr(Xoshiro256StarStar, "_u64s", counted)
+    monkeypatch.setattr(rng_module, "u64_blocks", counted)
     monkeypatch.setattr(Xoshiro256StarStar, "randbelow", no_randbelow)
     substream(5, "branch").shuffle(list(range(n)))
-    assert calls == [max(n - 1, 0)]
+    assert calls == [[max(n - 1, 0)]]
 
 
 def test_block_shuffle_falls_back_to_randbelow_on_a_rejected_word(monkeypatch):
     # 2**64 - 1 is past randbelow(40)'s acceptance bound, so the first word of a
     # 40-item shuffle is rejected: the block is discarded and the state restored
-    u64s, randbelow = Xoshiro256StarStar._u64s, Xoshiro256StarStar.randbelow
-    calls = []
+    randbelow, calls = Xoshiro256StarStar.randbelow, []
 
-    def poisoned(self, n):
-        words = u64s(self, n)
-        words[0] = np.uint64(2**64 - 1)
-        return words
+    def poisoned(gens, counts):
+        blocks = u64_blocks(gens, counts)
+        blocks[0][0] = np.uint64(2**64 - 1)
+        return blocks
 
     def counted(self, n):
         calls.append(n)
         return randbelow(self, n)
 
-    monkeypatch.setattr(Xoshiro256StarStar, "_u64s", poisoned)
+    monkeypatch.setattr(rng_module, "u64_blocks", poisoned)
     monkeypatch.setattr(Xoshiro256StarStar, "randbelow", counted)
     block, scalar = substream(4, "reject"), substream(4, "reject")
     shuffled = list(range(40))
@@ -230,7 +236,7 @@ def test_block_shuffle_falls_back_to_randbelow_on_a_rejected_word(monkeypatch):
     expected = list(range(40))
     reference_shuffle(scalar, expected)
     assert shuffled == expected
-    assert _state(block) == _state(scalar)
+    assert block._s == scalar._s
 
 
 # per-generator counts around the lane length and the scalar/lane threshold
@@ -246,7 +252,7 @@ def test_lane_draw_equals_each_generators_next_u64(seed, counts):
     blocks = u64_blocks(gens, counts)
     for gen, scalar, n, block in zip(gens, scalars, counts, blocks):
         assert block.tolist() == [scalar.next_u64() for _ in range(n)]
-        assert _state(gen) == _state(scalar)
+        assert gen._s == scalar._s
         assert gen.next_u64() == scalar.next_u64()
 
 
@@ -264,4 +270,4 @@ def test_shuffle_plans_equal_successive_randbelow_shuffles(seed, epochs, sizes):
             permute(shuffled, picks)
             reference_shuffle(scalar, expected)
             assert shuffled == expected
-        assert _state(gen) == _state(scalar)
+        assert gen._s == scalar._s
