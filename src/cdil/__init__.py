@@ -8,7 +8,7 @@ from .metrics import (ExperimentReport, TrialResult, aggregate, average_accuracy
                       final_accuracy)
 from .pipeline import ExperimentConfig, run_experiment, run_session, run_trial
 from .rch import RCHState
-from .splitters import FoldAssignment, bind_folds, ilcv_partition, slcv_partition
+from .splitters import bind_folds, partition
 from .synth import DEFAULT_SESSION_LABELS, SynthSpec, generate_stream
 
 __version__ = "0.1.0"
@@ -20,7 +20,7 @@ __all__ = [
     "ExperimentReport", "TrialResult", "aggregate", "average_accuracy", "final_accuracy",
     "ExperimentConfig", "run_experiment", "run_session", "run_trial",
     "RCHState",
-    "FoldAssignment", "bind_folds", "ilcv_partition", "slcv_partition",
+    "bind_folds", "partition",
     "DEFAULT_SESSION_LABELS", "SynthSpec", "generate_stream",
     "__version__",
 ]

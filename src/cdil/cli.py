@@ -98,15 +98,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_split(args: argparse.Namespace) -> int:
     cfg = config_from_file(args.config, protocol=args.protocol, k=args.k, seed=args.seed)
     seq = build_sequence(cfg, values=False)  # folds depend on ids and labels alone
-    assignments = partition_sequence(seq, cfg.k, cfg.seed, cfg.protocol)
+    partitions = partition_sequence(seq, cfg.k, cfg.seed, cfg.protocol)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with replace_file(out_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["session", "sample_id", "subject_id", "fold"])
-        for session, assignment in zip(seq.sessions, assignments):
+        for session, folds in zip(seq.sessions, partitions):
             for sample_id, subject_id, fold in zip(session.sample_ids, session.subject_ids,
-                                                   assignment.folds.tolist()):
+                                                   folds.tolist()):
                 writer.writerow([session.session_index, sample_id, subject_id, fold])
     sys.stderr.write(f"fold assignments written to {out_path}\n")
     return 0

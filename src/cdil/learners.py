@@ -317,8 +317,7 @@ class PrototypeLearner(Learner):
     """Frozen random features plus closed-form ridge heads on one-hot targets."""
 
     def __init__(self, feature_dim: int, cfg: LearnerConfig,
-                 experiment_seed: int = 0, trial_index: int = 1,
-                 projection: np.ndarray | None = None):
+                 experiment_seed: int = 0, projection: np.ndarray | None = None):
         self.feature_dim = feature_dim
         self.cfg = cfg
         self.projection = (projection if projection is not None
@@ -384,7 +383,7 @@ def make_learner(variant: str, feature_dim: int, cfg: LearnerConfig | None = Non
     check_choice("variant", variant, VARIANTS)
     if variant == FINETUNE:
         return FinetuneLearner(feature_dim, cfg, experiment_seed, trial_index)
-    return PrototypeLearner(feature_dim, cfg, experiment_seed, trial_index, projection)
+    return PrototypeLearner(feature_dim, cfg, experiment_seed, projection=projection)
 
 
 def config_with_defaults(cfg: LearnerConfig, feature_dim: int,

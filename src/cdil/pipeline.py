@@ -29,7 +29,7 @@ from .learners import (FINETUNE, PROTOTYPE, VARIANTS, LearnerConfig, Learner,
                        config_with_defaults, draw_projection, make_learner, train_finetune)
 from .metrics import ExperimentReport, TrialResult, aggregate
 from .rng import derive_seed
-from .splitters import FoldAssignment, MODES, bind_folds, partition
+from .splitters import MODES, bind_folds, partition
 from .synth import SynthSpec, generate_stream
 
 logger = logging.getLogger(__name__)
@@ -80,7 +80,7 @@ def split_seed(experiment_seed: int, mode: str, session_index: int) -> int:
 
 
 def partition_sequence(seq: SessionSequence, k: int, seed: int,
-                       mode: str) -> list[FoldAssignment]:
+                       mode: str) -> list[np.ndarray]:
     return [partition(session, k, split_seed(seed, mode, session.session_index), mode)
             for session in seq.sessions]
 
@@ -136,11 +136,11 @@ LearnerFactory = Callable[[int], Learner]
 
 
 def _run_trials(cfg: ExperimentConfig, seq: SessionSequence,
-                assignments: Sequence[FoldAssignment], trial_indices: Sequence[int],
+                folds: Sequence[np.ndarray], trial_indices: Sequence[int],
                 learner_factory: LearnerFactory | None) -> list[TrialResult]:
     """The trials `trial_indices`, session-major. Learners made here from `cfg`
     share one prototype projection; finetune ones train stacked."""
-    test_masks = [bind_folds(assignments, tau) for tau in trial_indices]
+    test_masks = [bind_folds(folds, tau) for tau in trial_indices]
     train = train_finetune if learner_factory is None and cfg.learner == FINETUNE else None
     if learner_factory is None:
         # Every trial would draw the same projection; draw it once, read-only.
@@ -160,10 +160,10 @@ def _run_trials(cfg: ExperimentConfig, seq: SessionSequence,
 
 
 def run_trial(cfg: ExperimentConfig, seq: SessionSequence,
-              assignments: Sequence[FoldAssignment], trial_index: int,
+              folds: Sequence[np.ndarray], trial_index: int,
               learner_factory: LearnerFactory | None = None) -> TrialResult:
     """One complete incremental run over all sessions with fold `trial_index` bound."""
-    return _run_trials(cfg, seq, assignments, [trial_index], learner_factory)[0]
+    return _run_trials(cfg, seq, folds, [trial_index], learner_factory)[0]
 
 
 def build_sequence(cfg: ExperimentConfig, values: bool = True) -> SessionSequence:
@@ -182,8 +182,8 @@ def run_experiment(cfg: ExperimentConfig,
     if cfg.out is not None:  # a file in the output path fails before any trial trains
         interface.check_report_dir(cfg.out)
     seq = build_sequence(cfg)
-    assignments = partition_sequence(seq, cfg.k, cfg.seed, cfg.protocol)
-    trials = _run_trials(cfg, seq, assignments, range(1, cfg.k + 1), learner_factory)
+    folds = partition_sequence(seq, cfg.k, cfg.seed, cfg.protocol)
+    trials = _run_trials(cfg, seq, folds, range(1, cfg.k + 1), learner_factory)
     report = aggregate(trials, config=cfg.echo(seq.feature_dim), expect_k=cfg.k)
     logger.info("experiment done: mean final %.4f, mean average %.4f",
                 report.mean_final, report.mean_average)

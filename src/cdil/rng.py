@@ -135,13 +135,15 @@ class Xoshiro256StarStar:
         return (((x << 7) | (x >> 57)) * 9) & _MASK64  # rotl(s1 * 5, 7) * 9
 
     def randbelow(self, n: int) -> int:
-        """Uniform integer in [0, n), unbiased via rejection sampling."""
-        if n <= 0:
-            raise ValueError("randbelow requires n >= 1")
-        limit = _MASK64 - (_MASK64 % n) - (n - 1)  # largest multiple of n, minus 1
+        """Uniform integer in [0, n), unbiased via rejection sampling: a word is
+        kept below the largest multiple of n up to 2**64, where each residue
+        has the same count of words."""
+        if not 1 <= n <= 1 << 64:  # past 2**64 no word would be kept
+            raise ValueError(f"randbelow requires 1 <= n <= 2**64, got {n}")
+        limit = (1 << 64) - (1 << 64) % n
         while True:
             value = self.next_u64()
-            if value <= limit + (n - 1):
+            if value < limit:
                 return value % n
 
     def shuffle(self, items: MutableSequence) -> None:
@@ -152,8 +154,10 @@ class Xoshiro256StarStar:
     def normals(self, shape: int | tuple[int, ...]) -> np.ndarray:
         """Array of standard normal draws in row-major fill order, bit for bit
         scalar Box-Muller draws: the one-generator case of `normal_rows`."""
-        size = math.prod(shape) if isinstance(shape, tuple) else shape
-        return normal_rows([self], size)[0].reshape(shape)
+        shape = shape if isinstance(shape, tuple) else (shape,)
+        if any(n < 0 for n in shape):
+            raise ValueError(f"normals requires a shape without negative sizes, got {shape}")
+        return normal_rows([self], math.prod(shape))[0].reshape(shape)
 
 
 def _s1s(gen: Xoshiro256StarStar, n: int) -> list[int]:
@@ -244,7 +248,8 @@ def shuffle_plans(gens: Sequence[Xoshiro256StarStar], sizes: Sequence[int],
     for gen, state, width, words in zip(gens, saved, widths, blocks):
         bounds = np.arange(width + 1, 1, -1, dtype=np.uint64)
         words = words.reshape(epochs, width)
-        if (words <= mask - mask % bounds).all():
+        # randbelow's test, word < 2**64 - 2**64 % bound, in 64-bit arithmetic
+        if (words <= mask - (mask % bounds + np.uint64(1)) % bounds).all():
             plans.append(words % bounds)
         else:
             gen._s = state

@@ -145,9 +145,9 @@ def test_criterion_02_protocol_shape():
         for t, ids in enumerate(learner.evaluated_ids, start=1):
             expected = set()
             for session, assignment, mask in zip(seq.sessions[:t], assignments, masks):
-                assert np.array_equal(mask, assignment.folds == tau)
+                assert np.array_equal(mask, assignment == tau)
                 expected |= {sid for sid, fold in zip(session.sample_ids,
-                                                      assignment.folds.tolist()) if fold == tau}
+                                                      assignment.tolist()) if fold == tau}
             assert ids == expected, f"trial {tau} session {t} evaluation set mismatch"
         evaluations += len(learner.evaluated_ids)
     ok = len(trials) == k and evaluations == k * seq.n
@@ -167,7 +167,7 @@ def test_criterion_03_splitter_properties():
         session = session_with(n_subjects, per_subject)
         for mode in (SLCV, ILCV):
             assignment = partition(session, k, seed, mode)
-            folds = assignment.folds.tolist()
+            folds = assignment.tolist()
             # partition / coverage: one fold in 1..k per row
             assert len(folds) == session.size
             assert all(1 <= f <= k for f in folds)
@@ -189,7 +189,7 @@ def test_criterion_03_splitter_properties():
                     test_subj = {s for s, m in zip(session.subject_ids, test) if m}
                     assert not (train_subj & test_subj)
             # seed determinism
-            assert np.array_equal(partition(session, k, seed, mode).folds, assignment.folds)
+            assert np.array_equal(partition(session, k, seed, mode), assignment)
     elapsed = time.time() - start
     report_criterion(3, elapsed < 10.0,
                      f"{cases} randomized cases x 2 modes: coverage, balance <= 1, "

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cdil
 from cdil.core import (ConfigurationError, LabelRegistry, SessionDataset, SessionSequence,
                        check_bool, check_choice, check_int, check_list, check_names, check_real,
                        check_str)
@@ -188,3 +189,7 @@ def test_checks_pass_good_values_and_return_lists_as_tuples():
 def test_configuration_error_without_a_field_is_its_reason():
     error = ConfigurationError("a sequence needs at least one session")
     assert (str(error), error.field) == ("a sequence needs at least one session", None)
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in cdil.__all__ if not hasattr(cdil, name)] == []

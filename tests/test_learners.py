@@ -769,7 +769,7 @@ class TestPrototype:
         y = [0, 1, 2] * 10
         preds = []
         for _ in range(2):
-            learner = PrototypeLearner(5, LearnerConfig(), experiment_seed=21, trial_index=2)
+            learner = PrototypeLearner(5, LearnerConfig(), experiment_seed=21)
             learner.update(*columns(X, y), {0, 1, 2})
             preds.append(learner.predict_many(X))
         assert np.array_equal(preds[0], preds[1])

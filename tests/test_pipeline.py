@@ -17,7 +17,7 @@ import cdil.pipeline
 from cdil.pipeline import (ExperimentConfig, partition_sequence, run_experiment,
                            run_session, run_trial)
 from cdil.rng import substream
-from cdil.splitters import FoldAssignment, bind_folds
+from cdil.splitters import bind_folds
 from cdil.synth import SynthSpec, generate_stream
 
 
@@ -144,9 +144,9 @@ class TestRunSession:
         # trains on none of them
         def starved(seq, k, seed, mode):
             first, *rest = partition_sequence(seq, k, seed, mode)
-            folds = np.where(first.folds == 2, 1, first.folds)
+            folds = np.where(first == 2, 1, first)
             folds[seq.sessions[0].labels == 0] = 2
-            return [FoldAssignment(1, k, mode, folds), *rest]
+            return [folds, *rest]
 
         seq = small_stream
         assignments = starved(seq, 5, 1, "ilcv")
@@ -175,7 +175,7 @@ class TestRunTrial:
         result = run_trial(quick_config(), seq, assignments, 3,
                            learner_factory=lambda tau: OracleLearner(seq))
         assert result.n_sessions == 1
-        assert result.total[0] == np.sum(assignments[0].folds == 3)
+        assert result.total[0] == np.sum(assignments[0] == 3)
 
     def test_trials_differ_only_in_bound_fold(self, small_stream):
         seq = small_stream
@@ -257,7 +257,7 @@ class TestRunExperiment:
         seq = generate_stream(cfg_a.synth)
         slcv = partition_sequence(seq, 5, cfg_a.seed, "slcv")
         ilcv = partition_sequence(seq, 5, cfg_b.seed, "ilcv")
-        assert not np.array_equal(slcv[0].folds, ilcv[0].folds)
+        assert not np.array_equal(slcv[0], ilcv[0])
 
     def test_session_evaluation_count_is_k_times_n(self, small_stream):
         seq = small_stream

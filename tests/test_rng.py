@@ -57,6 +57,38 @@ def test_randbelow_covers_all_residues():
         rng.randbelow(0)
 
 
+def stub_words(monkeypatch, words):
+    """Every word drawn, by `next_u64` or by `u64_blocks`, comes from `words`."""
+    stream = iter(words)
+    monkeypatch.setattr(Xoshiro256StarStar, "next_u64", lambda self: next(stream))
+    monkeypatch.setattr(rng_module, "u64_blocks", lambda gens, counts: [
+        np.array([next(stream) for _ in range(n)], dtype=np.uint64) for n in counts])
+
+
+# 2**64 - 1 is the one word at or past the largest multiple of 3 up to 2**64, so
+# randbelow(3) rejects it; 2 divides 2**64, so randbelow(2) keeps every word
+@pytest.mark.parametrize("n, expected", [(3, 4 % 3), (2, (2**64 - 1) % 2)])
+def test_randbelow_keeps_exactly_the_words_below_the_largest_multiple(monkeypatch, n, expected):
+    stub_words(monkeypatch, [2**64 - 1, 4])
+    assert Xoshiro256StarStar(0).randbelow(n) == expected
+
+
+def test_randbelow_takes_bounds_up_to_2_64(monkeypatch):
+    stub_words(monkeypatch, [2**64 - 1])
+    assert Xoshiro256StarStar(0).randbelow(2**64) == 2**64 - 1
+    with pytest.raises(ValueError):
+        Xoshiro256StarStar(0).randbelow(2**64 + 1)
+
+
+@pytest.mark.parametrize("n, picks", [(3, [4 % 3, 4 % 2]), (2, [(2**64 - 1) % 2])])
+def test_shuffle_plans_keep_exactly_randbelows_words(monkeypatch, n, picks):
+    # a 3-item shuffle rejects its block's first word, 2**64 - 1, and falls back to
+    # randbelow(3), which draws 2**64 - 1 again, rejects it and keeps 4; a 2-item
+    # shuffle keeps the block's 2**64 - 1
+    stub_words(monkeypatch, [2**64 - 1] + [4] * (n - 2) + [2**64 - 1, 4, 4])
+    assert shuffle_plans([Xoshiro256StarStar(0)], [n], 1)[0].tolist() == [picks]
+
+
 def test_shuffle_is_a_permutation_and_deterministic():
     items = list(range(25))
     a = items.copy()
@@ -154,6 +186,14 @@ def test_normal_rows_equal_each_generators_scalar_normals(seed, odd_firsts, n):
 def test_a_negative_normals_size_is_refused():
     with pytest.raises(ValueError):
         substream(1, "negative").normals(-1)
+
+
+def test_a_negative_normals_dimension_is_refused_before_any_draw():
+    gen = substream(1, "negative")
+    state = gen._s
+    with pytest.raises(ValueError):
+        gen.normals((-1, -2))
+    assert gen._s == state
 
 
 @pytest.mark.parametrize("n", [0, 1, rng_module._MIN_BLOCK - 1, rng_module._MIN_BLOCK,
