@@ -31,6 +31,9 @@ Interchange formats, chosen to be bit-exactly documentable:
   per trial for re-aggregation. Both JSON records are read back as manifests
   are, through `ExperimentReport` and `TrialResult`, whose checks name the
   file and field; the keys `to_dict` derives from the fields are skipped.
+  A report's fields are its trials and config echo, so its means and standard
+  deviations are derived from the trials' counts and never read back. A run
+  clears an earlier report from its directory before it trains.
 
 Unless `shared_subjects` is true, raw subject ids are namespaced per session
 (`s{t}:{raw}`): sessions come from distinct datasets, so identical raw ids
@@ -40,7 +43,7 @@ in different sessions are different people by default.
 from __future__ import annotations
 
 import csv
-import errno
+import fnmatch
 import json
 import logging
 import os
@@ -443,13 +446,19 @@ def _write_json(path: Path, record: dict) -> None:
         fh.write(json.dumps(record, indent=2, sort_keys=True) + "\n")
 
 
-def check_report_dir(out_dir: str | Path) -> None:
-    """Raise the NotADirectoryError, naming `out_dir`/trials, that `write_report`
-    would meet making it where a file stands; create nothing."""
-    trials_dir = Path(out_dir) / "trials"
-    existing = next(path for path in (trials_dir, *trials_dir.parents) if path.exists())
-    if not existing.is_dir():
-        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(trials_dir))
+def clear_report(out_dir: str | Path) -> None:
+    """Remove an earlier run's report.json, trial files and report.txt from
+    `out_dir`; create nothing. Where a file stands in the path, the listing of
+    `out_dir`/trials raises the OS's NotADirectoryError before anything is removed."""
+    out_dir = Path(out_dir)
+    trials_dir = out_dir / "trials"
+    names = []
+    with suppress(FileNotFoundError):
+        names = os.listdir(trials_dir)
+    (out_dir / "report.json").unlink(missing_ok=True)
+    for name in fnmatch.filter(names, "trial_*.json"):
+        (trials_dir / name).unlink(missing_ok=True)
+    (out_dir / "report.txt").unlink(missing_ok=True)
 
 
 def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
@@ -463,14 +472,12 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> Path:
     out_dir = Path(out_dir)
     trials_dir = out_dir / "trials"
     trials_dir.mkdir(parents=True, exist_ok=True)
-    report_path = out_dir / "report.json"
-    report_path.unlink(missing_ok=True)
-    for stale in trials_dir.glob("trial_*.json"):
-        stale.unlink()
+    clear_report(out_dir)
     for trial in report.trials:
         _write_json(trials_dir / f"trial_{trial.trial_index}.json", trial.to_dict())
     with replace_file(out_dir / "report.txt") as fh:
         fh.write(format_report_table(report))
+    report_path = out_dir / "report.json"
     _write_json(report_path, report.to_dict())
     return report_path
 
@@ -507,4 +514,4 @@ def reaggregate_trials(run_dir: str | Path) -> ExperimentReport:
     indices = sorted(t.trial_index for t in trials)
     if len(indices) != k or indices != list(range(1, k + 1)):
         raise ProtocolError(f"{trials_dir}: expected trial files 1..{k}, found {indices}")
-    return aggregate(trials, config=recorded.config, expect_k=k)
+    return aggregate(trials, config=recorded.config)

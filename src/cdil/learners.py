@@ -104,7 +104,7 @@ class Learner(ABC):
     def known_classes(self) -> frozenset[int]:
         return self.rch.known_classes
 
-    def _training_split(self, features, labels, sample_ids) -> np.ndarray:
+    def _training_split(self, features, labels, sample_ids, label_set) -> np.ndarray:
         """The features as float64 (N, d), checked before `update` changes any state."""
         features = np.asarray(features, dtype=np.float64)
         n = len(features)
@@ -113,6 +113,9 @@ class Learner(ABC):
             raise ValueError(
                 f"training split has features {features.shape}, labels {np.shape(labels)} "
                 f"and {len(sample_ids)} sample ids; expected (N, {self.feature_dim}), (N,) and N")
+        if outside := set(np.asarray(labels).tolist()) - label_set:
+            raise ValueError(f"training labels {sorted(outside)} are not in the session's "
+                             f"label set {sorted(label_set)}")
         if not n:
             raise ProtocolError("empty training split: a bound fold consumed the whole session")
         return features
@@ -224,7 +227,8 @@ def train_finetune(learners: Sequence[FinetuneLearner], splits: Sequence[tuple],
     batch start, the trials whose batches are equally long step in one
     `finetune_step` call, so each learner ends bit for bit as if trained alone."""
     first, cfg = learners[0], learners[0].cfg
-    features = [learner._training_split(*split) for learner, split in zip(learners, splits)]
+    features = [learner._training_split(*split, label_set)
+                for learner, split in zip(learners, splits)]
     t = first.rch.n_sessions + 1
     for learner in learners:
         rows = None
@@ -340,7 +344,7 @@ class PrototypeLearner(Learner):
 
     def update(self, features: np.ndarray, labels: np.ndarray, sample_ids: Sequence[str],
                label_set: AbstractSet[int]) -> None:
-        features = self._training_split(features, labels, sample_ids)
+        features = self._training_split(features, labels, sample_ids, label_set)
         classes = sorted(label_set)
         cumulative = self.cfg.prototype_stats == "cumulative"
         t = self.rch.add_session(label_set)

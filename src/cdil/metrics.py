@@ -3,9 +3,10 @@
 Per-session accuracies are stored as exact (correct, total) integer pairs so
 reports can be re-derived without rounding drift; the real-valued accuracy,
 the final accuracy (last session), and the average accuracy (mean over
-sessions) are computed from those pairs on demand. Aggregation across the k
-bound trials is a plain arithmetic mean, reported with the sample standard
-deviation.
+sessions) are computed from those pairs on demand. A report holds only its
+trials and config, and derives its aggregates across the k bound trials the
+same way: each is a plain arithmetic mean in trial-index order, reported with
+the sample standard deviation.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-from .core import ConfigurationError, ProtocolError, check_int, check_list, check_real
+from .core import ConfigurationError, ProtocolError, check_int, check_list
 
 
 @dataclass(frozen=True)
@@ -72,26 +73,18 @@ def average_accuracy(result: TrialResult) -> float:
 
 @dataclass(frozen=True)
 class ExperimentReport:
-    """Fold-averaged accuracies over all trials, plus the per-trial detail."""
+    """The bound trials and the config echo. Every aggregate is derived from the
+    trials' counts: a mean or sample standard deviation across the trials, in
+    the order they are held."""
 
     trials: tuple[TrialResult, ...]
-    mean_per_session: tuple[float, ...]
-    mean_final: float
-    mean_average: float
-    std_final: float
-    std_average: float
     config: dict[str, Any] = field(default_factory=dict)
 
-    DERIVED = ("k", "n_sessions")  # by `to_dict`
+    DERIVED = ("k", "n_sessions", "mean_per_session", "mean_final", "mean_average",
+               "std_final", "std_average")  # by `to_dict`
 
     def __post_init__(self):
         object.__setattr__(self, "trials", check_list("trials", self.trials, 1))
-        object.__setattr__(self, "mean_per_session",
-                           check_list("mean_per_session", self.mean_per_session))
-        for i, value in enumerate(self.mean_per_session, start=1):
-            check_real(f"mean_per_session[{i}]", value)
-        for name in ("mean_final", "mean_average", "std_final", "std_average"):
-            check_real(name, getattr(self, name))
         if not isinstance(self.config, dict):
             raise ConfigurationError(f"must be a JSON object, got {self.config!r}", "config")
         learner = self.config.get("learner", {})
@@ -107,51 +100,59 @@ class ExperimentReport:
     def k(self) -> int:
         return len(self.trials)
 
+    @property
+    def mean_per_session(self) -> tuple[float, ...]:
+        return tuple(map(_mean, zip(*(t.per_session_accuracy for t in self.trials))))
+
+    @property
+    def mean_final(self) -> float:
+        return _mean(list(map(final_accuracy, self.trials)))
+
+    @property
+    def mean_average(self) -> float:
+        return _mean(list(map(average_accuracy, self.trials)))
+
+    @property
+    def std_final(self) -> float:
+        return _sample_std(list(map(final_accuracy, self.trials)))
+
+    @property
+    def std_average(self) -> float:
+        return _sample_std(list(map(average_accuracy, self.trials)))
+
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "config": self.config,
-            "k": self.k,
-            "n_sessions": self.n_sessions,
-            "trials": [t.to_dict() for t in self.trials],
-            "mean_per_session": list(self.mean_per_session),
-            "mean_final": self.mean_final,
-            "mean_average": self.mean_average,
-            "std_final": self.std_final,
-            "std_average": self.std_average,
-        }
+        return {"config": self.config, "trials": [t.to_dict() for t in self.trials],
+                **{name: getattr(self, name) for name in self.DERIVED}}
+
+
+def _mean(values: Sequence[float]) -> float:
+    return sum(values) / len(values)
 
 
 def _sample_std(values: Sequence[float]) -> float:
     if len(values) < 2:
         return 0.0
-    mean = sum(values) / len(values)
+    mean = _mean(values)
     return math.sqrt(sum((v - mean) ** 2 for v in values) / (len(values) - 1))
 
 
-def aggregate(trials: Sequence[TrialResult], config: dict[str, Any] | None = None,
-              expect_k: int | None = None) -> ExperimentReport:
-    """Arithmetic means across trials, in trial-index order."""
+def aggregate(trials: Sequence[TrialResult],
+              config: dict[str, Any] | None = None) -> ExperimentReport:
+    """The report of `trials` in trial-index order. There must be as many trials
+    as the k that `config` records, if it records one."""
     if not trials:
         raise ProtocolError("cannot aggregate zero trials")
     trials = tuple(sorted(trials, key=lambda t: t.trial_index))
-    if expect_k is not None and len(trials) != expect_k:
-        raise ProtocolError(f"expected {expect_k} trials, got {len(trials)}")
     n = trials[0].n_sessions
     for t in trials:
         if t.n_sessions != n:
             raise ProtocolError(
                 f"ragged trials: trial {t.trial_index} has {t.n_sessions} sessions, "
                 f"expected {n}")
-    mean_per_session = tuple(
-        sum(t.per_session_accuracy[i] for t in trials) / len(trials) for i in range(n))
-    finals = [final_accuracy(t) for t in trials]
-    averages = [average_accuracy(t) for t in trials]
-    return ExperimentReport(
-        trials=trials,
-        mean_per_session=mean_per_session,
-        mean_final=sum(finals) / len(finals),
-        mean_average=sum(averages) / len(averages),
-        std_final=_sample_std(finals),
-        std_average=_sample_std(averages),
-        config=dict(config or {}),
-    )
+    for before, t in zip(trials, trials[1:]):
+        if before.trial_index == t.trial_index:
+            raise ProtocolError(f"repeated trial index {t.trial_index}")
+    report = ExperimentReport(trials, dict(config or {}))
+    if report.k != report.config.get("k", report.k):
+        raise ProtocolError(f"expected {report.config['k']} trials, got {report.k}")
+    return report

@@ -179,12 +179,12 @@ def run_experiment(cfg: ExperimentConfig,
     Any trial failure aborts the whole experiment: a partial fold average
     would silently bias the reported means.
     """
-    if cfg.out is not None:  # a file in the output path fails before any trial trains
-        interface.check_report_dir(cfg.out)
+    if cfg.out is not None:  # before any trial trains, so a failed run leaves no report
+        interface.clear_report(cfg.out)
     seq = build_sequence(cfg)
     folds = partition_sequence(seq, cfg.k, cfg.seed, cfg.protocol)
     trials = _run_trials(cfg, seq, folds, range(1, cfg.k + 1), learner_factory)
-    report = aggregate(trials, config=cfg.echo(seq.feature_dim), expect_k=cfg.k)
+    report = aggregate(trials, config=cfg.echo(seq.feature_dim))
     logger.info("experiment done: mean final %.4f, mean average %.4f",
                 report.mean_final, report.mean_average)
     if cfg.out is not None:

@@ -1130,7 +1130,6 @@ class TestCli:
 
     @pytest.mark.parametrize("field,value", [
         ("config.k", "3"), ("config.k", 2.9), ("config.k", True),
-        ("mean_final", "0.5"), ("std_average", None), ("mean_per_session[2]", True),
         ("config", []), ("config", [["k", 3]]), ("config", "x"),
     ])
     def test_report_rejects_a_wrongly_typed_report_field(self, tmp_path, capsys, field, value):
@@ -1140,13 +1139,48 @@ class TestCli:
         data = json.loads(report.read_text(encoding="utf-8"))
         if field == "config.k":
             data["config"]["k"] = value
-        elif field == "mean_per_session[2]":  # the second mean: fields count from 1
-            data["mean_per_session"][1] = value
         else:
             data[field] = value
         report.write_text(json.dumps(data), encoding="utf-8")
         assert cli_main(["report", "--in", str(tmp_path / "out")]) == 2
         assert f"error: {report}: field '{field}': must be" in capsys.readouterr().err
+
+    def test_edited_derived_report_keys_are_not_read(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        out, path = tmp_path / "out", tmp_path / "out" / "report.json"
+        written = load_report(path)
+        assert cli_main(["report", "--in", str(out)]) == 0
+        table = capsys.readouterr().out
+        data = json.loads(path.read_text(encoding="utf-8"))
+        data.update(k=7, n_sessions=9, mean_per_session=[0.5], mean_final=0.25,
+                    mean_average=0.125, std_final=1.0, std_average=2.0)
+        path.write_text(json.dumps(data), encoding="utf-8")
+        again = load_report(path)
+        assert again == written and again.to_dict() == written.to_dict()
+        assert cli_main(["report", "--in", str(out)]) == 0
+        assert capsys.readouterr().out == table
+
+    def test_failed_run_leaves_no_earlier_report(self, tmp_path, capsys):
+        config = self.run_config(tmp_path)
+        assert cli_main(["run", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+        (out / "notes.txt").write_text("kept", encoding="utf-8")
+        (out / "trials" / "notes.txt").write_text("kept", encoding="utf-8")
+        config = self.run_config(tmp_path, learner={
+            "variant": "finetune", "learning_rate": 1e300, "epochs_first": 30})
+        capsys.readouterr()
+        with np.errstate(all="ignore"):
+            assert cli_main(["run", "--config", str(config)]) == 2
+        assert "error: non-finite loss" in capsys.readouterr().err
+        assert sorted(p.relative_to(out).as_posix() for p in out.rglob("*")) == [
+            "notes.txt", "trials", "trials/notes.txt"]
+        assert cli_main(["report", "--in", str(out)]) == 2
+        assert f"error: {out / 'report.json'} not found" in capsys.readouterr().err
+
+    def test_clearing_a_missing_report_dir_creates_nothing(self, tmp_path):
+        interface.clear_report(tmp_path / "absent" / "run")
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("section,key,value", [
         ("learner", "learning_rate", "fast"),

@@ -839,6 +839,18 @@ class TestSharedContract:
             if variant == "finetune":
                 assert learner.feature_map.tobytes() == feature_map.tobytes()
 
+    @pytest.mark.parametrize("variant", ["finetune", "prototype"])
+    def test_labels_outside_the_label_set_are_refused(self, variant):
+        # finetune would train label 1 as class 2, the prototype on all-zero targets
+        learner = make_learner(variant, 2, LearnerConfig(epochs_first=2))
+        X = substream(21, "outside").normals((4, 2))
+        with pytest.raises(ValueError, match=r"training labels \[1\] are not in the "
+                                             r"session's label set \[0, 2\]"):
+            learner.update(*columns(X, [0, 1, 2, 1]), {0, 2})
+        assert learner.rch.n_sessions == 0
+        learner.update(*columns(X, [0, 2, 2, 0]), {0, 2})
+        assert learner.known_classes == {0, 2}
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigurationError):
             make_learner("mystery", 4)
